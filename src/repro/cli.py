@@ -191,12 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve_start.add_argument(
         "--port", type=int, default=7341, help="bind port (0 = ephemeral)"
     )
+    from repro.serve.dispatcher import FlushPolicy
+
+    shipped = FlushPolicy()
     serve_start.add_argument(
-        "--max-batch", type=int, default=8, help="flush when this many requests are pending"
+        "--max-batch", type=int, default=shipped.max_batch,
+        help="most requests in one flush (default %(default)s)",
     )
     serve_start.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="flush at latest this many ms after a batch's first request",
+        "--max-wait-ms", type=float, default=shipped.max_wait_s * 1e3,
+        help="opt-in straggler window: wait up to this many ms after a batch's "
+        "first request for more (default %(default)g: flush the backlog at once)",
     )
     serve_start.add_argument(
         "--capacity", type=int, default=256,
@@ -533,7 +538,8 @@ def _print_serve_summary(section) -> None:
         print(
             f"  {row['policy']:>14}: {row['rps']:.0f} req/s "
             f"(p50 {row['p50_ms']:.2f}ms p95 {row['p95_ms']:.2f}ms "
-            f"p99 {row['p99_ms']:.2f}ms, mean batch {row['mean_batch_size']:.1f})"
+            f"p99 {row['p99_ms']:.2f}ms, mean batch {row['mean_batch_size']:.1f}, "
+            f"{row['flushes']} flushes p50 {row['flush_p50_ms']:.2f}ms)"
             f"{note}"
         )
     print(f"  bitwise equal across all policies: {section['bitwise_equal']}")

@@ -618,23 +618,32 @@ def run_star_batch(
         t_served_bid = clock + alpha_served * np.take_along_axis(full_bids, orders, axis=1)
         t_root = alpha[:, 0] * full_bids[:, 0]
 
-        t_without = np.empty((n_runs, n))
-        t_eval = np.empty((n_runs, n))
-        for child in range(1, n + 1):
-            if n == 1:
-                t_without[:, 0] = full_bids[:, 0]
-            else:
-                keep_cols = [c for c in range(1, n + 1) if c != child]
-                w_red = np.concatenate((full_bids[:, :1], full_bids[:, keep_cols]), axis=1)
-                z_red = z[:, [c - 1 for c in keep_cols]]
-                orders_red = np.argsort(z_red, axis=1, kind="stable") + 1
-                alpha_red = _star_alpha_batch(w_red, z_red, orders_red)
-                t_without[:, child - 1] = alpha_red[:, 0] * w_red[:, 0]
-            slot = orders == child
-            t_child = clock + alpha[:, child : child + 1] * actual[:, child - 1 : child]
-            t_eval[:, child - 1] = np.maximum(
-                t_root, np.where(slot, t_child, t_served_bid).max(axis=1)
+        if n == 1:
+            t_without = full_bids[:, :1].copy()
+        else:
+            # All n reduced stars in one call: block c - 1 of the N * n
+            # stacked rows drops child c.  Every step is row-wise, so
+            # this is bitwise-equal to n separate calls.
+            keep = np.array([[c for c in range(n) if c != child] for child in range(n)])
+            z_red = z[:, keep].transpose(1, 0, 2).reshape(n * n_runs, n - 1)
+            w_red = np.concatenate(
+                (
+                    np.tile(full_bids[:, :1], (n, 1)),
+                    full_bids[:, 1:][:, keep].transpose(1, 0, 2).reshape(n * n_runs, n - 1),
+                ),
+                axis=1,
             )
+            orders_red = np.argsort(z_red, axis=1, kind="stable") + 1
+            alpha_red = _star_alpha_batch(w_red, z_red, orders_red)
+            t_without = (alpha_red[:, 0] * w_red[:, 0]).reshape(n, n_runs).T
+        # Axis 1 picks the child re-timed at its actual rate, axis 2 the
+        # service slot: only that child's own slot changes.
+        slot = orders[:, None, :] == np.arange(1, n + 1)[None, :, None]
+        t_child = clock[:, None, :] + (alpha[:, 1:] * actual)[:, :, None]
+        t_eval = np.maximum(
+            t_root[:, None],
+            np.where(slot, t_child, t_served_bid[:, None, :]).max(axis=2),
+        )
         bonus = t_without - t_eval
         correct_q = assigned[:, 1:] * actual + bonus
         if bill_overcharge is None:

@@ -12,6 +12,7 @@ repeated invocations.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -51,7 +52,8 @@ def make_deviant(spec: str, true_rates: Sequence[float]):
     ``INDEX`` is the 1-based agent index into ``true_rates``; ``KIND``
     is one of ``shed``, ``overcharge``, ``misbid``, ``slow``,
     ``contradict``, ``miscompute``, ``tamper``, ``accuse``.  Raises
-    :class:`ValueError` on unknown kinds or malformed specs.
+    :class:`ValueError` on unknown kinds, malformed specs, non-finite
+    parameters and parameters the agent class refuses.
     """
     from repro.agents import (
         ContradictoryBidAgent,
@@ -65,11 +67,19 @@ def make_deviant(spec: str, true_rates: Sequence[float]):
     )
 
     parts = spec.split(":")
-    if len(parts) < 2:
+    if not 2 <= len(parts) <= 3:
         raise ValueError(f"deviant spec must be INDEX:KIND[:PARAM], got {spec!r}")
-    index = int(parts[0])
+    try:
+        index = int(parts[0])
+    except ValueError:
+        raise ValueError(f"deviant index must be an integer in {spec!r}") from None
     kind = parts[1]
-    param = float(parts[2]) if len(parts) > 2 else None
+    try:
+        param = float(parts[2]) if len(parts) > 2 else None
+    except ValueError:
+        raise ValueError(f"deviant param must be a number in {spec!r}") from None
+    if param is not None and not math.isfinite(param):
+        raise ValueError(f"deviant param must be finite in {spec!r}")
     if not 1 <= index <= len(true_rates):
         raise ValueError(f"deviant index {index} outside 1..{len(true_rates)}")
     t = float(true_rates[index - 1])
@@ -85,7 +95,10 @@ def make_deviant(spec: str, true_rates: Sequence[float]):
     }
     if kind not in factories:
         raise ValueError(f"unknown deviant kind {kind!r}; choose from {sorted(factories)}")
-    return factories[kind]()
+    try:
+        return factories[kind]()
+    except ValueError as exc:
+        raise ValueError(f"{exc} in deviant {spec!r}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import asyncio
 import time
 from typing import Any, Sequence
 
-from repro.obs.metrics import LatencyHistogram
+from repro.obs.metrics import LatencyHistogram, collecting
 from repro.serve.admission import AdmissionQueue
 from repro.serve.client import mixed_workload
 from repro.serve.dispatcher import Dispatcher, FlushPolicy
@@ -40,12 +40,14 @@ __all__ = ["DEFAULT_POLICIES", "DEFAULT_POOL_WORKERS", "benchmark_serve"]
 DEFAULT_POOL_WORKERS = (1, 2, 4)
 
 #: The flush policies the bench compares.  ``batch1`` isolates dispatch
-#: overhead (no coalescing); the larger policies trade a bounded wait
-#: for stacked-engine amortization.
+#: overhead (no coalescing); the two windowed policies trade a bounded
+#: wait for stacked-engine amortization; the last is the shipped,
+#: engine-paced default.
 DEFAULT_POLICIES = (
     FlushPolicy(max_batch=1, max_wait_s=0.0),
     FlushPolicy(max_batch=8, max_wait_s=0.002),
     FlushPolicy(max_batch=32, max_wait_s=0.005),
+    FlushPolicy(),
 )
 
 
@@ -109,13 +111,15 @@ async def _serve_burst(
             summaries[request.request_id] = response.summary
             batch_sizes.append(response.served.get("batch_size", 1))
 
-    started = loop.time()
-    await asyncio.gather(*(_submit(request) for request in requests))
-    wall = loop.time() - started
-    queue.close()
-    await dispatcher.join()
+    with collecting() as registry:
+        started = loop.time()
+        await asyncio.gather(*(_submit(request) for request in requests))
+        wall = loop.time() - started
+        queue.close()
+        await dispatcher.join()
     if pool is not None:
         pool.close()
+    flush = registry.snapshot().get("histograms", {}).get("perf.serve.flush", {})
     row = {
         "policy": policy.label,
         "max_batch": policy.max_batch,
@@ -124,6 +128,11 @@ async def _serve_burst(
         "rps": len(requests) / wall if wall > 0 else 0.0,
         "mean_batch_size": sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0,
         **_percentiles(histogram),
+        # Per-flush engine time: how long the first request of a flush
+        # waits on the rest of it (empty when profiling is off).
+        "flushes": int(flush.get("count", 0)),
+        "flush_p50_ms": flush.get("p50", 0.0) * 1e3,
+        "flush_p99_ms": flush.get("p99", 0.0) * 1e3,
     }
     return summaries, row
 
@@ -147,7 +156,7 @@ def _pool_sweep(
         count, seed=seed, sizes=sizes, topologies=("chain", "star", "tree")
     )
     solo_summaries, solo_row = _solo_baseline(requests)
-    policy = FlushPolicy(max_batch=8, max_wait_s=0.002)
+    policy = FlushPolicy()
 
     worker_rows = []
     all_equal = True

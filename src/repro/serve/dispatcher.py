@@ -1,24 +1,27 @@
-"""Dynamic micro-batching: coalesce admitted requests into stacked runs.
+"""Engine-paced micro-batching: coalesce admitted requests into stacked runs.
 
 The dispatcher is a single asyncio task draining the admission queue.
-It opens a batch with the first request it gets, then fills greedily —
-whatever is already queued joins immediately; when the queue runs dry it
-waits the *remaining* batch window (``max_wait_s`` counted from the
-first request, never reset) for stragglers — and flushes when the batch
-reaches ``max_batch`` or the window closes.  A flush partitions its
-members into compatible groups (same topology/m/q) and executes each
-group via :func:`repro.serve.engine.run_group_rows`, which demultiplexes
-per-request summaries bitwise-equal to solo scalar runs.
+It opens a batch with the first request it gets, takes whatever else is
+already admitted (up to ``max_batch``) and flushes at once — no timer.
+The engine sets the pace: while one flush runs, new requests pile up in
+the queue, and the next flush takes that whole backlog.  A flush
+partitions its members into compatible groups (same topology/m/q) and
+executes each group via :func:`repro.serve.engine.run_group_rows`, which
+demultiplexes per-request summaries bitwise-equal to solo scalar runs.
 
 Two execution modes:
 
 - **Inline** (no pool): groups run synchronously in the event loop, as
-  mechanism runs are CPU-bound numpy work with no await points.
+  mechanism runs are CPU-bound numpy work with no await points.  The
+  loop cannot read sockets during a flush, so the backlog the next
+  flush takes is exactly what arrived while the engine was busy.
 - **Pooled** (a :class:`~repro.serve.pool.WorkerPool`): each group is
-  shipped to a worker process and the dispatcher keeps batching while it
-  runs; a dedicated merger coroutine consumes finished flushes strictly
-  in dispatch order.  An in-flight semaphore (two flushes per worker)
-  bounds the backlog between dispatcher and merger.
+  shipped to a worker process and the dispatcher goes back to batching
+  while it runs; a dedicated merger coroutine consumes finished flushes
+  strictly in dispatch order.  An in-flight semaphore (two flushes per
+  worker) bounds the backlog between dispatcher and merger.  The
+  dispatcher takes a slot *before* it opens a batch, so requests that
+  arrive while every slot is busy join one flush when a slot frees.
 
 Either way the metric fold is identical: groups return *unmerged*
 per-row counter deltas, and the event loop merges them in request order
@@ -32,11 +35,16 @@ responses than requests (a bug class that used to leave the tail callers
 hanging forever) fails every unresolved member with a structured
 internal error instead.
 
-The flush policy is the latency/throughput dial: ``max_batch=1`` is
-solo-scalar dispatch (every request pays its own python overhead),
-larger batches amortize the stacked engine's vectorization across
-concurrent callers at the cost of up to ``max_wait_s`` added latency
-for the batch-opening request.
+The flush policy: ``max_batch`` caps one flush (``max_batch=1`` is
+solo-scalar dispatch; the default only bounds how long the first request
+of a very deep backlog waits for the rest).  ``max_wait_s`` is an opt-in
+straggler window, off by default.  A closed-loop client cannot send its
+next request before it has the answer to the last one, so every request
+that could join a batch is already queued when the batch opens: a
+window there only idles the engine.  It pays off only for open-loop
+arrivals of many independent callers, each sending a lone request a
+little apart, where a short wait turns several one-row flushes into one
+stacked flush.
 """
 
 from __future__ import annotations
@@ -65,14 +73,15 @@ class FlushPolicy:
     Attributes
     ----------
     max_batch:
-        Flush as soon as this many requests are pending.
+        Most requests in one flush; a deeper backlog is split.
     max_wait_s:
-        Flush no later than this many seconds after the batch's first
-        request arrived (the straggler window).
+        Opt-in straggler window: when the queue runs dry before the
+        batch is full, wait up to this many seconds (counted from the
+        batch's first request) for more.  ``0`` flushes at once.
     """
 
-    max_batch: int = 8
-    max_wait_s: float = 0.002
+    max_batch: int = 64
+    max_wait_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -123,55 +132,62 @@ class Dispatcher:
             await self._merger
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        draining = False
-        while not draining:
+        while True:
+            if self._inflight is not None:
+                # Pooled: wait for a free slot *before* opening the
+                # batch, so everything admitted while every worker is
+                # busy joins this flush instead of queueing behind a
+                # one-row batch that already left.
+                await self._inflight.acquire()
             item = await self.queue.get()
             if item is SHUTDOWN:
-                break
-            batch = [item]
-            deadline = loop.time() + self.policy.max_wait_s
-            while len(batch) < self.policy.max_batch:
-                try:
-                    item = self.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(self.queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
-                if item is SHUTDOWN:
-                    draining = True
-                    break
-                batch.append(item)
-            await self._flush(batch)
-        # Post-sentinel drain: whatever was admitted before close() still
-        # gets served (graceful shutdown empties the queue, batch-sized).
-        pending: list[Any] = []
-        while True:
+                if self._inflight is not None:
+                    self._inflight.release()
+                return
+            batch, draining = await self._fill([item])
+            self._flush(batch)
+            if draining:
+                return
+            # Give the loop a turn before the next flush: callers of this
+            # one get their responses written, and readers admit what
+            # arrived meanwhile.
+            await asyncio.sleep(0)
+
+    async def _fill(self, batch: list[Any]) -> tuple[list[Any], bool]:
+        """Grow an opened batch; returns it and whether shutdown was seen.
+
+        The admitted backlog joins up to ``max_batch``.  When the queue
+        runs dry the batch flushes at once unless the policy opts into a
+        straggler window, which is counted from the batch's first
+        request and never reset.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.policy.max_wait_s
+        while len(batch) < self.policy.max_batch:
             try:
                 item = self.queue.get_nowait()
             except asyncio.QueueEmpty:
-                break
-            if item is not SHUTDOWN:
-                pending.append(item)
-        for start in range(0, len(pending), self.policy.max_batch):
-            await self._flush(pending[start : start + self.policy.max_batch])
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    break
+                try:
+                    item = await asyncio.wait_for(self.queue.get(), remaining)
+                except asyncio.TimeoutError:
+                    break
+            if item is SHUTDOWN:
+                return batch, True
+            batch.append(item)
+        return batch, False
 
-    async def _flush(self, batch: list[Any]) -> None:
+    def _flush(self, batch: list[Any]) -> None:
         """Execute one flush: inline in the loop, or shipped to the pool."""
         registry = get_registry()
         registry.inc("serve.flushes")
         registry.observe("serve.batch_size", float(len(batch)))
-        if self.pool is None or self._inflight is None:
+        if self.pool is None:
             self._flush_inline(batch, registry)
             return
-        # Bound the dispatch-ahead backlog so a slow pool applies
-        # backpressure to batching instead of growing an unbounded list
-        # of in-flight flushes.
-        await self._inflight.acquire()
+        # The in-flight slot was taken in _run; the merger releases it.
         requests = [request for request, _future in batch]
         futures = [future for _request, future in batch]
         submitted = []

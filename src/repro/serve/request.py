@@ -34,6 +34,7 @@ __all__ = [
     "MechanismResponse",
     "RequestError",
     "DEFAULT_TENANT",
+    "DEVIANT_PARAM_RANGE",
     "MAX_M",
     "PRIORITY_RANGE",
     "SUMMARY_FIELDS",
@@ -64,18 +65,12 @@ _TENANT_CHARS = frozenset(
 )
 _TENANT_MAX_LEN = 64
 
-#: Deviant kinds accepted in request specs (mirror of the population
-#: runner's catalog).
-_DEVIANT_KINDS = (
-    "shed",
-    "overcharge",
-    "misbid",
-    "slow",
-    "contradict",
-    "miscompute",
-    "tamper",
-    "accuse",
-)
+#: Magnitude bounds for a nonzero deviant parameter.  Far outside them
+#: the scalar protocol's float tolerances start to misfire (a chain
+#: misbid by a factor of ~3e6 or more raises a spurious Phase II
+#: grievance, which the array path does not model), so the service
+#: refuses such specs at the wire.
+DEVIANT_PARAM_RANGE = (1e-3, 1e3)
 
 #: The tree mechanism models the tamper-proof level: only rate and
 #: execution-speed deviations exist there (mirror of
@@ -134,7 +129,8 @@ class MechanismRequest:
     deviant:
         Optional ``INDEX:KIND[:PARAM]`` spec injecting one deviant agent
         (same grammar as ``python -m repro run --deviant``).  Trees only
-        accept ``misbid``/``slow``.
+        accept ``misbid``/``slow``; a nonzero ``PARAM`` must have a
+        magnitude within :data:`DEVIANT_PARAM_RANGE`.
     request_id:
         Caller-assigned correlation id (an integer), echoed in the
         response.
@@ -190,34 +186,32 @@ class MechanismRequest:
                 f"audit probability must be in (0, 1], got {self.audit_probability!r}"
             )
         if self.deviant is not None:
-            parts = str(self.deviant).split(":")
-            if len(parts) < 2:
-                raise RequestError(
-                    f"deviant spec must be INDEX:KIND[:PARAM], got {self.deviant!r}"
-                )
-            try:
-                index = int(parts[0])
-            except ValueError:
-                raise RequestError(f"deviant index must be an integer in {self.deviant!r}") from None
-            if not 1 <= index <= self.m:
-                raise RequestError(
-                    f"deviant index {index} outside 1..{self.m} in {self.deviant!r}"
-                )
-            if parts[1] not in _DEVIANT_KINDS:
-                raise RequestError(
-                    f"unknown deviant kind {parts[1]!r}; choose from {sorted(_DEVIANT_KINDS)}"
-                )
-            if self.topology == "tree" and parts[1] not in _TREE_DEVIANT_KINDS:
-                raise RequestError(
-                    f"deviant kind {parts[1]!r} unsupported on trees "
-                    f"(tamper-proof level); choose from {sorted(_TREE_DEVIANT_KINDS)}"
-                )
-            if len(parts) > 2:
-                try:
-                    float(parts[2])
-                except ValueError:
-                    raise RequestError(f"deviant param must be a number in {self.deviant!r}") from None
+            self._validate_deviant()
         return self
+
+    def _validate_deviant(self) -> None:
+        """Build the deviant agent the way the engine will, so a spec
+        the engine would refuse mid-flush is refused here instead."""
+        from repro.mechanism.population import make_deviant
+
+        if not isinstance(self.deviant, str):
+            raise RequestError(f"deviant must be a string, got {self.deviant!r}")
+        try:
+            make_deviant(self.deviant, [1.0] * self.m)
+        except ValueError as exc:
+            raise RequestError(str(exc)) from None
+        _index, kind, *param = self.deviant.split(":")
+        low, high = DEVIANT_PARAM_RANGE
+        if param and float(param[0]) != 0 and not low <= abs(float(param[0])) <= high:
+            raise RequestError(
+                f"deviant param must be 0 or of magnitude {low:g}..{high:g} "
+                f"in {self.deviant!r}"
+            )
+        if self.topology == "tree" and kind not in _TREE_DEVIANT_KINDS:
+            raise RequestError(
+                f"deviant kind {kind!r} unsupported on trees "
+                f"(tamper-proof level); choose from {sorted(_TREE_DEVIANT_KINDS)}"
+            )
 
     @property
     def batch_key(self) -> tuple[str, int, float]:

@@ -249,7 +249,8 @@ class MechanismService:
                 pass
 
     def stats(self) -> dict[str, Any]:
-        counters = get_registry().snapshot().get("counters", {})
+        snapshot = get_registry().snapshot()
+        counters = snapshot.get("counters", {})
         return {
             "queue_depth": self.queue.depth(),
             "capacity": self.queue.capacity,
@@ -261,5 +262,12 @@ class MechanismService:
                 name: value
                 for name, value in sorted(counters.items())
                 if name.startswith("serve.") or name.startswith("mechanism.")
+            },
+            # Flush sizes and queue depths: how much the dispatcher
+            # actually coalesces under the live load.
+            "histograms": {
+                name: {key: hist[key] for key in ("count", "mean", "p50", "p99", "max")}
+                for name, hist in sorted(snapshot.get("histograms", {}).items())
+                if name.startswith("serve.")
             },
         }

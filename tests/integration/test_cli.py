@@ -141,3 +141,10 @@ class TestParser:
     def test_empty_floats_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--w", " "])
+
+    def test_serve_start_defaults_are_the_shipped_flush_policy(self):
+        from repro.serve.dispatcher import FlushPolicy
+
+        args = build_parser().parse_args(["serve", "start"])
+        policy = FlushPolicy(max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3)
+        assert policy == FlushPolicy()

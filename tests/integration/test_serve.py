@@ -66,6 +66,21 @@ class TestServiceEndToEnd:
         assert not unknown["ok"] and "unknown op" in unknown["error"]
         assert unknown["request_id"] == 5
 
+    def test_stats_report_flush_sizes(self):
+        requests = mixed_workload(30, seed=23, sizes=(3,))
+
+        async def _go(service):
+            report = await run_load(
+                "127.0.0.1", service.port, requests, connections=2, verify=True
+            )
+            return report, service.stats()
+
+        report, stats = asyncio.run(_with_service(_go))
+        assert report["ok"] == 30 and report["bitwise_equal"] is True
+        batch = stats["histograms"]["serve.batch_size"]
+        assert batch["count"] == stats["counters"]["serve.flushes"]
+        assert 1.0 <= batch["mean"] <= batch["max"] <= FlushPolicy().max_batch
+
     def test_invalid_requests_rejected_before_admission(self):
         async def _go(service):
             good_run = await request_once(

@@ -19,8 +19,8 @@ def _request(i: int, m: int = 3) -> MechanismRequest:
 class TestFlushPolicy:
     def test_defaults(self):
         policy = FlushPolicy()
-        assert policy.max_batch == 8
-        assert policy.max_wait_s == 0.002
+        assert policy.max_batch == 64
+        assert policy.max_wait_s == 0.0
 
     @pytest.mark.parametrize("kwargs", [{"max_batch": 0}, {"max_wait_s": -0.1}])
     def test_invalid_rejected(self, kwargs):
@@ -50,6 +50,105 @@ def _serve_burst(requests, policy, *, pre_close=False):
         return results
 
     return asyncio.run(_run())
+
+
+@pytest.fixture
+def timers(monkeypatch):
+    """Every straggler-window wait the dispatcher starts."""
+    calls = []
+    real_wait_for = asyncio.wait_for
+
+    def counting_wait_for(*args, **kwargs):
+        calls.append(args)
+        return real_wait_for(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+    return calls
+
+
+class TestEnginePaced:
+    def test_default_policy_serves_admitted_burst_in_one_flush(self, timers):
+        # Everything admitted before the dispatcher starts is one flush
+        # under the default policy, and no straggler timer ever runs.
+        n = 12
+        assert n <= FlushPolicy().max_batch
+        requests = [_request(i) for i in range(n)]
+        with collecting() as registry:
+            responses = _serve_burst(requests, FlushPolicy())
+        snap = registry.snapshot()
+        assert snap["counters"]["serve.flushes"] == 1
+        batch_hist = snap["histograms"]["serve.batch_size"]
+        assert batch_hist["count"] == 1
+        assert batch_hist["total"] == float(n)
+        assert all(r.ok and r.served["batch_size"] == n for r in responses)
+        assert timers == []
+
+    def test_backlog_built_during_a_flush_is_the_next_flush(self, monkeypatch, timers):
+        # Inline mode: requests admitted while the engine runs a flush
+        # all join the next one, with no window to wait out.
+        import repro.serve.dispatcher as dispatcher_mod
+
+        real_run_group_rows = dispatcher_mod.run_group_rows
+        queues, late = [], []
+
+        def run_and_admit(requests):
+            if not late:
+                late.extend(queues[0].submit(_request(i)) for i in range(1, 6))
+            return real_run_group_rows(requests)
+
+        monkeypatch.setattr(dispatcher_mod, "run_group_rows", run_and_admit)
+
+        async def _run():
+            queues.append(AdmissionQueue(capacity=16))
+            dispatcher = Dispatcher(queues[0], FlushPolicy())
+            dispatcher.start()
+            first = await queues[0].submit(_request(0))
+            rest = await asyncio.gather(*late)
+            queues[0].close()
+            await dispatcher.join()
+            return first, rest
+
+        with collecting() as registry:
+            first, rest = asyncio.run(_run())
+        assert first.served["batch_size"] == 1
+        assert [r.served["batch_size"] for r in rest] == [5] * 5
+        assert registry.snapshot()["counters"]["serve.flushes"] == 2
+        assert timers == []
+
+
+    def test_callers_resume_between_flushes_of_a_deep_backlog(self, monkeypatch):
+        # A backlog deeper than max_batch is split; the loop gets a turn
+        # after each flush, so the first flush's callers are answered
+        # before the second flush runs, not after the whole backlog.
+        import repro.serve.dispatcher as dispatcher_mod
+
+        real_run_group_rows = dispatcher_mod.run_group_rows
+        answered: list[int] = []
+        answered_at_flush: list[list[int]] = []
+
+        def recording_run_group_rows(requests):
+            answered_at_flush.append(list(answered))
+            return real_run_group_rows(requests)
+
+        monkeypatch.setattr(dispatcher_mod, "run_group_rows", recording_run_group_rows)
+
+        async def _run():
+            queue = AdmissionQueue(capacity=16)
+            dispatcher = Dispatcher(queue, FlushPolicy(max_batch=4))
+
+            async def _caller(i):
+                await queue.submit(_request(i))
+                answered.append(i)
+
+            callers = [asyncio.ensure_future(_caller(i)) for i in range(8)]
+            await asyncio.sleep(0)  # every caller admitted
+            dispatcher.start()
+            await asyncio.gather(*callers)
+            queue.close()
+            await dispatcher.join()
+
+        asyncio.run(_run())
+        assert answered_at_flush == [[], [0, 1, 2, 3]]
 
 
 class TestBatching:

@@ -137,3 +137,61 @@ class TestMalformedInput:
         first, second = asyncio.run(_with_service(_go))
         assert first["ok"] is False
         assert second["stats"]["counters"]["serve.rejected_malformed"] == 1.0
+
+
+#: Specs the seed accepted at the wire and then failed on inside the
+#: engine (or, for ``overcharge:inf``, served as a non-JSON ``Infinity``).
+_ENGINE_BREAKING_DEVIANTS = (
+    "1:misbid:-1",
+    "1:misbid:0",
+    "1:misbid:nan",
+    "1:slow:0",
+    "1:shed:inf",
+    "2:tamper:nan",
+    "1:overcharge:inf",
+    "1:misbid:1e8",
+)
+
+
+class TestDeviantValidation:
+    @pytest.mark.parametrize("spec", _ENGINE_BREAKING_DEVIANTS)
+    def test_rejected_at_the_wire(self, spec):
+        from repro.serve.request import MechanismRequest, RequestError
+
+        with pytest.raises(RequestError):
+            MechanismRequest.from_wire({"op": "run", "m": 4, "deviant": spec})
+
+    def test_bad_specs_do_not_fail_their_burst(self):
+        # All bad lines and one valid chain request arrive in one
+        # pipelined burst with the same batch key: the bad ones are
+        # refused one by one, the valid one is served exactly.
+        from repro.serve.engine import solo_summary
+        from repro.serve.request import MechanismRequest
+
+        valid = MechanismRequest(topology="chain", m=4, seed=5, request_id=100)
+
+        async def _go(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                lines = [
+                    {"op": "run", "topology": "chain", "m": 4, "seed": i,
+                     "deviant": spec, "request_id": i}
+                    for i, spec in enumerate(_ENGINE_BREAKING_DEVIANTS)
+                ] + [valid.to_wire()]
+                writer.write(b"".join(json.dumps(line).encode() + b"\n" for line in lines))
+                await writer.drain()
+                raw = [await reader.readline() for _ in lines]
+                return raw
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        raw = asyncio.run(_with_service(_go))
+        replies = {r["request_id"]: r for r in map(json.loads, raw)}
+        assert all(b"Infinity" not in line and b"NaN" not in line for line in raw)
+        for i in range(len(_ENGINE_BREAKING_DEVIANTS)):
+            assert replies[i]["ok"] is False and "deviant" in replies[i]["error"]
+        assert replies[100]["ok"] is True
+        assert replies[100]["summary"] == solo_summary(valid)
+        assert get_registry().counter("serve.invalid") == len(_ENGINE_BREAKING_DEVIANTS)
+        assert get_registry().counter("serve.errors") == 0

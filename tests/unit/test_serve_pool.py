@@ -115,3 +115,75 @@ class TestPooledDispatcher:
         # Protocol counters folded on the loop from the shipped deltas.
         assert any(name.startswith("mechanism.") for name in counters)
         assert registry.snapshot()["gauges"]["serve.pool_workers"] == 1.0
+
+
+class _GatedPool:
+    """A one-worker pool whose groups finish only once the test opens it."""
+
+    workers = 1
+
+    def __init__(self) -> None:
+        self.groups: list[list[MechanismRequest]] = []
+        self._pending: list[tuple[asyncio.Future, list[MechanismRequest]]] = []
+        self._open = False
+
+    def submit(self, requests):
+        group = list(requests)
+        self.groups.append(group)
+        future = asyncio.get_running_loop().create_future()
+        if self._open:
+            future.set_result(execute_group(group))
+        else:
+            self._pending.append((future, group))
+        return future
+
+    def open(self) -> None:
+        """Finish every submitted group, and each later one at once."""
+        self._open = True
+        for future, group in self._pending:
+            future.set_result(execute_group(group))
+        self._pending.clear()
+
+
+async def _spin(until, limit: int = 100) -> None:
+    for _ in range(limit):
+        if until():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("dispatcher made no progress")
+
+
+class TestPooledBacklog:
+    def test_requests_admitted_while_slots_are_busy_share_one_flush(self):
+        # One worker = two in-flight slots.  Once both are taken, later
+        # requests trickling in must wait together for a free slot and
+        # leave as one flush, not one row each.
+        pool = _GatedPool()
+        requests = [_request(i) for i in range(8)]
+
+        async def _run():
+            queue = AdmissionQueue(capacity=16)
+            dispatcher = Dispatcher(queue, FlushPolicy(), pool=pool)
+            dispatcher.start()
+            futures = []
+            for i in range(2):
+                futures.append(queue.submit(requests[i]))
+                await _spin(lambda: len(pool.groups) == i + 1)
+            for request in requests[2:]:
+                futures.append(queue.submit(request))
+                for _ in range(5):
+                    await asyncio.sleep(0)
+            assert len(pool.groups) == 2  # both slots busy: nothing left
+            pool.open()
+            results = await asyncio.gather(*futures)
+            queue.close()
+            await dispatcher.join()
+            return results
+
+        with collecting() as registry:
+            responses = asyncio.run(_run())
+        assert [len(group) for group in pool.groups] == [1, 1, 6]
+        for request, response in zip(requests, responses):
+            assert response.ok
+            assert response.summary == solo_summary(request)
+        assert registry.snapshot()["counters"]["serve.flushes"] == 3
