@@ -23,8 +23,8 @@ import numpy as np
 from repro.agents.strategies import LoadSheddingAgent, SilentVictimAgent, TruthfulAgent
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
-from repro.mechanism.dls_lbl import DLSLBLMechanism
 from repro.mechanism.properties import run_truthful
+from repro.mechanism.rows import build_mechanism
 
 __all__ = ["run_x8_collusion"]
 
@@ -33,12 +33,9 @@ def _run(network, overrides, seed=0, use_batch=False):
     agents = [TruthfulAgent(i, float(t)) for i, t in enumerate(network.w[1:], start=1)]
     for idx, agent in overrides.items():
         agents[idx - 1] = agent
-    if use_batch:
-        from repro.mechanism.batch_run import LaneChainMechanism as mechanism_cls
-    else:
-        mechanism_cls = DLSLBLMechanism
-    mech = mechanism_cls(
-        network.z, float(network.w[0]), agents,
+    mech = build_mechanism(
+        "chain", network, agents,
+        engine="lane" if use_batch else "scalar",
         audit_probability=1.0, rng=np.random.default_rng(seed),
     )
     return mech.run()

@@ -38,6 +38,7 @@ from repro.faults.injector import (
     fault_records,
 )
 from repro.faults.spec import ScenarioSpec
+from repro.mechanism.rows import agent_rates, build_mechanism, draw_network
 from repro.obs.metrics import collecting, get_registry, merge_snapshots
 from repro.obs.tracer import TraceEvent, Tracer, events_to_jsonl, merge_traces
 
@@ -103,19 +104,6 @@ def _fines_against(outcome, proc: int) -> float:
     return float(total)
 
 
-def _preorder_rates(tree) -> list[float]:
-    """Per-node ``w`` in preorder (the tree mechanism's node indexing)."""
-    rates: list[float] = []
-
-    def visit(node) -> None:
-        rates.append(float(node.w))
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
-    return rates
-
-
 def _build_mechanism(scenario, network, agents, rng, tracer, use_batch=False):
     """Construct the scenario's mechanism for its topology.
 
@@ -124,59 +112,17 @@ def _build_mechanism(scenario, network, agents, rng, tracer, use_batch=False):
     crypto-free stand-ins.  Trees have no lane engine yet; that genuine
     fallback is counted in ``mechanism.scalar_fallbacks``.
     """
-    if scenario.topology == "linear":
-        if use_batch:
-            from repro.mechanism.batch_run import LaneChainMechanism as chain_cls
-        else:
-            from repro.mechanism.dls_lbl import DLSLBLMechanism as chain_cls
-
-        return chain_cls(
-            network.z,
-            float(network.w[0]),
-            agents,
-            audit_probability=scenario.audit_probability,
-            rng=rng,
-            tracer=tracer,
-        )
-    if scenario.topology == "star":
-        if use_batch:
-            from repro.mechanism.batch_run import LaneStarMechanism as star_cls
-        else:
-            from repro.mechanism.star_mechanism import StarMechanism as star_cls
-
-        return star_cls(
-            network.z,
-            float(network.w[0]),
-            agents,
-            audit_probability=scenario.audit_probability,
-            rng=rng,
-            tracer=tracer,
-        )
-    from repro.mechanism.tree_mechanism import TreeMechanism
-
-    if use_batch:
+    if use_batch and scenario.topology == "tree":
         get_registry().inc("mechanism.scalar_fallbacks")
-    return TreeMechanism(network, agents, tracer=tracer)
-
-
-def _draw_network(scenario, rng):
-    """The run's random network and the strategic agents' true rates."""
-    if scenario.topology == "linear":
-        from repro.network.generators import random_linear_network
-
-        network = random_linear_network(scenario.m, rng)
-        return network, [float(x) for x in network.w[1:]], network.z
-    if scenario.topology == "star":
-        from repro.network.generators import random_star_network
-
-        network = random_star_network(scenario.m, rng)
-        # No relaying on the star: misreport_z is unsupported, so the
-        # injector's z_next values are never consulted.
-        return network, [float(x) for x in network.w[1:]], np.zeros(scenario.m + 1)
-    from repro.network.generators import random_tree_network
-
-    tree = random_tree_network(scenario.m + 1, rng)
-    return tree, _preorder_rates(tree)[1:], np.zeros(scenario.m + 1)
+    return build_mechanism(
+        scenario.topology,
+        network,
+        agents,
+        engine="lane" if use_batch else "scalar",
+        audit_probability=scenario.audit_probability,
+        rng=rng,
+        tracer=tracer,
+    )
 
 
 def _run_scenario_once(
@@ -195,7 +141,11 @@ def _run_scenario_once(
 
     run_seed = task_seed(f"faults/{scenario.name}/net/{run_index}", seed)
     rng = np.random.default_rng(run_seed)
-    network, true_rates, z_for_agents = _draw_network(scenario, rng)
+    network = draw_network(scenario.topology, scenario.m, rng)
+    true_rates = agent_rates(scenario.topology, network)
+    # No relaying off the chain: misreport_z is unsupported there, so the
+    # injector's z_next values are never consulted.
+    z_for_agents = network.z if scenario.topology == "linear" else np.zeros(scenario.m + 1)
 
     act_rng = np.random.default_rng(
         task_seed(f"faults/{scenario.name}/activate/{run_index}", seed)

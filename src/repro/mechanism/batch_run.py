@@ -46,10 +46,11 @@ simulator a closed-form chain replay.  Every protocol branch (grievance
 adjudication, aborts, audit recomputation, settlement, tracing) is the
 inherited scalar code operating on identical values, so lane outcomes —
 including trace bytes — are bitwise-equal by construction while skipping
-the crypto that dominates scalar runtime.  ``run_chain_masked`` routes a
-mixed population: conforming lanes ride the stacked arrays, divergent
-lanes take the lane engine, and results zip back in lane order.  There
-is no scalar fallback; :func:`run_chain_batch` still raises
+the crypto that dominates scalar runtime.
+:func:`repro.mechanism.rows.run_rows` routes a mixed population:
+conforming lanes ride the stacked arrays, divergent lanes take the lane
+engine, and results zip back in lane order.  There is no scalar
+fallback; :func:`run_chain_batch` still raises
 :class:`~repro.exceptions.ProtocolViolation` if a caller feeds it an
 overloading row directly, as an internal-invariant guard.
 
@@ -883,12 +884,13 @@ class LaneStarMechanism(StarMechanism):
 def chain_row_snapshots(outcome: BatchChainOutcome) -> list[dict[str, Any]]:
     """Per-row protocol-counter snapshots for a stacked chain outcome.
 
-    The masked router merges counters in *lane order* — interleaving
-    array lanes with lane-engine runs — so the float accumulation order
-    matches a scalar loop exactly.  That requires the stacked pass's
-    counters at per-row granularity: each snapshot holds what one scalar
-    run would have contributed, with the same left-fold entry order
-    (root reimbursement, then per agent its bill and audit fine)."""
+    The row engine (:mod:`repro.mechanism.rows`) merges counters in
+    *lane order* — interleaving array lanes with lane-engine runs — so
+    the float accumulation order matches a scalar loop exactly.  That
+    requires the stacked pass's counters at per-row granularity: each
+    snapshot holds what one scalar run would have contributed, with the
+    same left-fold entry order (root reimbursement, then per agent its
+    bill and audit fine)."""
     return _row_snapshots(outcome, "mechanism.runs")
 
 
@@ -906,31 +908,29 @@ def _row_snapshots(
     outcome: BatchChainOutcome | BatchStarOutcome, runs_counter: str
 ) -> list[dict[str, Any]]:
     m = outcome.bids.shape[1] - 1
+    fines = outcome.audit_fines
+    fined = fines > 0.0
+    n_fines = np.count_nonzero(fined, axis=1).tolist()
+    n_challenged = np.count_nonzero(outcome.challenged, axis=1).tolist()
+    # Column by column, each row folds its entries in ledger order.
+    fine_volume = np.zeros(fines.shape[0])
+    volume = outcome.assigned[:, 0] * outcome.bids[:, 0]
+    for i in range(m):
+        f = fines[:, i]
+        fine_volume = np.where(fined[:, i], fine_volume + f, fine_volume)
+        volume = volume + np.abs(outcome.billed_q[:, i])
+        volume = np.where(fined[:, i], volume + f, volume)
+    fine_volume = fine_volume.tolist()
+    volume = volume.tolist()
     snapshots: list[dict[str, Any]] = []
-    for k in range(outcome.bids.shape[0]):
-        counters: dict[str, float] = {
-            runs_counter: 1.0,
-            "mechanism.audits": float(m),
-        }
-        n_challenged = int(np.count_nonzero(outcome.challenged[k]))
-        if n_challenged:
-            counters["mechanism.audits_challenged"] = float(n_challenged)
-        row_fines = outcome.audit_fines[k]
-        n_fines = int(np.count_nonzero(row_fines > 0.0))
-        if n_fines:
-            counters["mechanism.fines"] = float(n_fines)
-            fine_volume = 0.0
-            for f in row_fines:
-                if f > 0.0:
-                    fine_volume = fine_volume + float(f)
-            counters["mechanism.fine_volume"] = fine_volume
-        volume = float(outcome.assigned[k, 0]) * float(outcome.bids[k, 0])
-        for i in range(m):
-            volume = volume + abs(float(outcome.billed_q[k, i]))
-            f = float(row_fines[i])
-            if f > 0.0:
-                volume = volume + f
-        counters["ledger.transfers"] = float(1 + m + n_fines)
-        counters["ledger.volume"] = volume
+    for k in range(len(volume)):
+        counters: dict[str, float] = {runs_counter: 1.0, "mechanism.audits": float(m)}
+        if n_challenged[k]:
+            counters["mechanism.audits_challenged"] = float(n_challenged[k])
+        if n_fines[k]:
+            counters["mechanism.fines"] = float(n_fines[k])
+            counters["mechanism.fine_volume"] = fine_volume[k]
+        counters["ledger.transfers"] = float(1 + m + n_fines[k])
+        counters["ledger.volume"] = volume[k]
         snapshots.append({"counters": counters})
     return snapshots

@@ -48,6 +48,7 @@ __all__ = [
     "bucket_lower_bound",
     "get_registry",
     "collecting",
+    "fold_snapshots",
     "merge_snapshots",
 ]
 
@@ -299,8 +300,9 @@ class MetricsRegistry:
         (point-in-time semantics).  Merging is associative: folding
         per-task snapshots in any grouping yields identical totals.
         """
+        counters = self._counters
         for name, value in snap.get("counters", {}).items():
-            self.inc(name, value)
+            counters[name] = counters.get(name, 0.0) + value
         for name, value in snap.get("gauges", {}).items():
             self.set_gauge(name, value)
         for name, data in snap.get("histograms", {}).items():
@@ -328,6 +330,29 @@ def merge_snapshots(snaps: Iterator[Mapping[str, Any]] | list[Mapping[str, Any]]
     acc = MetricsRegistry()
     for snap in snaps:
         acc.merge(snap)
+    return acc.snapshot()
+
+
+def fold_snapshots(
+    snaps: Iterator[Mapping[str, Any]] | list[Mapping[str, Any]], into: MetricsRegistry
+) -> dict[str, Any]:
+    """Merge ``snaps`` into ``into`` in order; return their own fold
+    (what :func:`merge_snapshots` returns), built in the same pass.
+
+    Counters-only snapshots (a stacked engine's per-row deltas) take a
+    direct left fold into both counter maps — the same float additions
+    :meth:`MetricsRegistry.merge` makes, without its per-call overhead.
+    """
+    acc = MetricsRegistry()
+    live, own = into._counters, acc._counters
+    for snap in snaps:
+        if snap.keys() == {"counters"}:
+            for name, value in snap["counters"].items():
+                live[name] = live.get(name, 0.0) + value
+                own[name] = own.get(name, 0.0) + value
+        else:
+            into.merge(snap)
+            acc.merge(snap)
     return acc.snapshot()
 
 

@@ -23,6 +23,11 @@ Two execution modes:
   dispatcher takes a slot *before* it opens a batch, so requests that
   arrive while every slot is busy join one flush when a slot frees.
 
+Both modes settle each group through one helper, ``_fill_group``:
+engine exception → structured error responses, mis-sized return →
+padding, then the group's responses and row deltas fill the flush's
+request-order slots.
+
 Either way the metric fold is identical: groups return *unmerged*
 per-row counter deltas, and the event loop merges them in request order
 (flush order across flushes, ascending request index within a flush) —
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.perf import span as perf_span
@@ -215,26 +220,17 @@ class Dispatcher:
                     responses: list[MechanismResponse | None] = [None] * len(requests)
                     snapshots: list[dict[str, Any] | None] = [None] * len(requests)
                     for indices, pool_future in submitted:
-                        group = [requests[i] for i in indices]
-                        try:
-                            group_responses, row_snaps, overhead = await pool_future
-                        except Exception as exc:
-                            group_responses = _error_responses(group, exc)
-                            row_snaps = [{} for _ in group]
-                            overhead = {}
-                            registry.inc("serve.errors", float(len(group)))
-                        group_responses, row_snaps = _pad_group(
-                            group, group_responses, row_snaps, registry
+                        # Settle first; _shipped reads the outcome (or the
+                        # worker's exception) back from the future.
+                        await asyncio.wait((pool_future,))
+                        _fill_group(
+                            indices,
+                            requests,
+                            lambda _group: _shipped(pool_future, registry),
+                            registry,
+                            responses,
+                            snapshots,
                         )
-                        if overhead:
-                            # Engine overhead (worker-side perf spans,
-                            # tree scalar-fallback counts) — integer
-                            # counters and histograms only, so the merge
-                            # point cannot perturb float folds.
-                            registry.merge(overhead)
-                        for i, response, snap in zip(indices, group_responses, row_snaps):
-                            responses[i] = response
-                            snapshots[i] = snap
                     _merge_and_resolve(responses, snapshots, futures, registry)
             finally:
                 self._inflight.release()  # type: ignore[union-attr]
@@ -248,20 +244,48 @@ class Dispatcher:
         with perf_span("serve.flush"):
             for indices in group_by_key(requests):
                 registry.inc("serve.flush_groups")
-                group = [requests[i] for i in indices]
-                try:
-                    group_responses, row_snaps = run_group_rows(group)
-                except Exception as exc:  # pragma: no cover - engine guards
-                    group_responses = _error_responses(group, exc)
-                    row_snaps = [{} for _ in group]
-                    registry.inc("serve.errors", float(len(group)))
-                group_responses, row_snaps = _pad_group(
-                    group, group_responses, row_snaps, registry
-                )
-                for i, response, snap in zip(indices, group_responses, row_snaps):
-                    responses[i] = response
-                    snapshots[i] = snap
+                _fill_group(indices, requests, run_group_rows, registry, responses, snapshots)
             _merge_and_resolve(responses, snapshots, futures, registry)
+
+
+def _fill_group(
+    indices: Sequence[int],
+    requests: Sequence[MechanismRequest],
+    run: Callable[[list[MechanismRequest]], tuple[list[MechanismResponse], list[dict[str, Any]]]],
+    registry: MetricsRegistry,
+    responses: list[MechanismResponse | None],
+    snapshots: list[dict[str, Any] | None],
+) -> None:
+    """Map one group to ``(responses, row_snaps)`` via ``run`` and fill
+    the flush's slots at ``indices``.
+
+    An exception fails every member with a structured error (counted
+    under ``serve.errors``); a mis-sized return is padded.
+    """
+    group = [requests[i] for i in indices]
+    try:
+        group_responses, row_snaps = run(group)
+    except Exception as exc:
+        group_responses = _error_responses(group, exc)
+        row_snaps = [{} for _ in group]
+        registry.inc("serve.errors", float(len(group)))
+    group_responses, row_snaps = _pad_group(group, group_responses, row_snaps, registry)
+    for i, response, snap in zip(indices, group_responses, row_snaps):
+        responses[i] = response
+        snapshots[i] = snap
+
+
+def _shipped(
+    pool_future: "asyncio.Future[Any]", registry: MetricsRegistry
+) -> tuple[list[MechanismResponse], list[dict[str, Any]]]:
+    """A pooled group's responses and row deltas.  Its engine overhead
+    (worker-side perf spans, tree scalar-fallback counts) merges here:
+    integer counters and histograms only, so the merge point cannot
+    perturb float folds."""
+    group_responses, row_snaps, overhead = pool_future.result()
+    if overhead:
+        registry.merge(overhead)
+    return group_responses, row_snaps
 
 
 def _error_responses(

@@ -1,20 +1,22 @@
-"""Execution engine behind the service: solo recipe, stacked groups.
+"""Execution engine behind the service: requests in, rows out.
 
-Three layers, all producing the same bytes:
+The service executes mechanism *rows* through the row engine,
+:mod:`repro.mechanism.rows`, which owns the whole recipe: network draw,
+agents, mechanism-class choice, and the routing of each row onto the
+stacked arrays or the lane mechanisms.  This module only maps requests
+onto rows and rows back onto responses:
 
-- :func:`solo_summary` is the reference recipe — what a caller who never
-  heard of the service would run: ``default_rng(seed)``, draw the
-  network, build agents, run the scalar mechanism.  The service's
+- :func:`solo_summary` is the reference recipe —
+  :func:`~repro.mechanism.rows.solo_row` under the request's seed, what
+  a caller who never heard of the service would run.  The service's
   equality contract is stated against this function.  Trees run the
   scalar DLS-T mechanism (the paper's [9] sibling) on a random rooted
   tree of ``m + 1`` nodes.
 - :func:`run_group_rows` executes one *compatible group* (requests
-  sharing a :attr:`~repro.serve.request.MechanismRequest.batch_key`):
-  rows whose deviant spec the stacked arrays can express ride one
-  :func:`~repro.mechanism.batch_run.run_chain_batch` /
-  :func:`~repro.mechanism.batch_run.run_star_batch` call with pre-shaped
-  audit-draw blocks; grievance-lane rows execute on the engine's lane
-  mechanisms; tree rows run the scalar tree mechanism (an honest
+  sharing a :attr:`~repro.serve.request.MechanismRequest.batch_key`)
+  as one :func:`~repro.mechanism.rows.run_rows` call: array-expressible
+  rows ride one stacked batch-engine call, grievance-lane rows the lane
+  mechanisms, tree rows the scalar tree mechanism (an honest
   ``mechanism.scalar_fallbacks`` increment each).  It returns, alongside
   the responses, one registry-snapshot *delta* per row — unmerged — so
   the caller (the dispatcher's event loop, even when the rows ran in a
@@ -23,150 +25,42 @@ Three layers, all producing the same bytes:
 - :func:`run_group` / :func:`run_coalesced` are the in-process
   compositions: run the rows, merge the per-row snapshots into the live
   registry in request order, reassemble responses in input order.
-
-The rng discipline is the one proven by the batch-engine differential
-suite: a solo run consumes ``default_rng(seed)`` as network draw then
-one ``rng.random()`` per audit, and a pre-shaped ``rng.random(m)`` block
-equals those sequential draws bitwise.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.obs.metrics import collecting, get_registry
-from repro.obs.perf import span as perf_span
+from repro.mechanism.rows import run_rows, solo_row
+from repro.obs.metrics import get_registry
 from repro.serve.request import MechanismRequest, MechanismResponse
 
 __all__ = [
     "group_by_key",
-    "is_array_expressible",
     "run_coalesced",
     "run_group",
     "run_group_rows",
     "solo_summary",
 ]
 
-#: Deviant kinds the stacked arrays express (mirror of the population
-#: engine's routing); everything else rides the lane mechanisms.
-_BATCHABLE_KINDS = frozenset({"overcharge", "misbid", "slow"})
-
-
-def is_array_expressible(request: MechanismRequest) -> bool:
-    """Whether a request can ride a stacked batch-engine call."""
-    if request.topology == "tree":
-        return False  # no batch engine for trees; scalar per row
-    if request.deviant is None:
-        return True
-    parts = request.deviant.split(":")
-    return len(parts) >= 2 and parts[1] in _BATCHABLE_KINDS
-
-
-def _draw_network(request: MechanismRequest, rng: np.random.Generator):
-    if request.topology == "star":
-        from repro.network.generators import random_star_network
-
-        return random_star_network(request.m, rng)
-    if request.topology == "tree":
-        from repro.network.generators import random_tree_network
-
-        return random_tree_network(request.m + 1, rng)
-    from repro.network.generators import random_linear_network
-
-    return random_linear_network(request.m, rng)
-
-
-def _preorder_rates(tree) -> list[float]:
-    """Per-node ``w`` in preorder (the tree mechanism's node indexing)."""
-    rates: list[float] = []
-
-    def visit(node) -> None:
-        rates.append(float(node.w))
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
-    return rates
-
-
-def _build_agents(request: MechanismRequest, true_rates: list[float]):
-    from repro.agents import TruthfulAgent
-    from repro.mechanism.population import make_deviant
-
-    agents = [TruthfulAgent(i, t) for i, t in enumerate(true_rates, start=1)]
-    if request.deviant is not None:
-        agent = make_deviant(request.deviant, true_rates)
-        agents[agent.index - 1] = agent
-    return agents
-
-
-def _mechanism_cls(topology: str, engine: str):
-    if topology == "star":
-        if engine == "lane":
-            from repro.mechanism.batch_run import LaneStarMechanism as cls
-        else:
-            from repro.mechanism.star_mechanism import StarMechanism as cls
-    else:
-        if engine == "lane":
-            from repro.mechanism.batch_run import LaneChainMechanism as cls
-        else:
-            from repro.mechanism.dls_lbl import DLSLBLMechanism as cls
-    return cls
-
 
 def solo_summary(request: MechanismRequest, engine: str = "scalar") -> dict[str, Any]:
     """The reference scalar recipe for one request.
 
     ``engine="lane"`` swaps in the batch engine's crypto-free lane
-    subclass — same protocol code, bitwise-equal output; the dispatcher
-    uses it for chain/star rows the arrays cannot express.  Trees have
-    one engine (the scalar tree mechanism), so the parameter is a no-op
+    subclass — same protocol code, bitwise-equal output.  Trees have one
+    engine (the scalar tree mechanism), so the parameter is a no-op
     there.
     """
-    from repro.mechanism.ledger import MECHANISM
-
-    rng = np.random.default_rng(request.seed)
-    network = _draw_network(request, rng)
-    if request.topology == "tree":
-        from repro.mechanism.tree_mechanism import TreeMechanism
-
-        true_rates = _preorder_rates(network)[1:]
-        agents = _build_agents(request, true_rates)
-        mech = TreeMechanism(network, agents)
-    else:
-        true_rates = [float(x) for x in network.w[1:]]
-        agents = _build_agents(request, true_rates)
-        cls = _mechanism_cls(request.topology, engine)
-        mech = cls(
-            network.z,
-            float(network.w[0]),
-            agents,
-            audit_probability=request.audit_probability,
-            rng=rng,
-        )
-    outcome = mech.run()
-    fines = sum(e.amount for e in outcome.ledger.entries if e.creditor == MECHANISM)
-    return {
-        "topology": request.topology,
-        "m": request.m,
-        "seed": request.seed,
-        # TreeOutcome has no completed/aborted_phase/adjudications/audits
-        # (the tree mechanism models the tamper-proof level and always
-        # completes); the getattr defaults state exactly that, matching
-        # what a completed chain/star run reports.
-        "completed": bool(getattr(outcome, "completed", True)),
-        "aborted_phase": getattr(outcome, "aborted_phase", None),
-        # float() casts are exact (and keep the dict JSON-serializable
-        # when numpy scalars leak out of the mechanism); an aborted run
-        # has no makespan.
-        "makespan": None if outcome.makespan is None else float(outcome.makespan),
-        "fines_total": float(fines),
-        "n_grievances": len(getattr(outcome, "adjudications", ())),
-        "n_audits": len(getattr(outcome, "audits", ())),
-        "mechanism_outlay": float(outcome.ledger.mechanism_outlay()),
-    }
+    fields, _events = solo_row(
+        request.topology,
+        request.m,
+        request.seed,
+        request.audit_probability,
+        request.deviant,
+        engine=engine,
+    )
+    return {"topology": request.topology, "m": request.m, "seed": request.seed, **fields}
 
 
 def run_group_rows(
@@ -198,109 +92,24 @@ def run_group_rows(
     if len(keys) > 1:
         raise ValueError(f"run_group requires one batch key, got {sorted(keys)}")
     topology, m, q = requests[0].batch_key
-    batch_size = len(requests)
-
-    array_rows = [i for i, r in enumerate(requests) if is_array_expressible(r)]
-
-    row_summary: dict[int, dict[str, Any]] = {}
-    row_snapshot: dict[int, dict[str, Any]] = {}
-    row_engine: dict[int, str] = {}
-
-    if array_rows:
-        from repro.mechanism.batch_run import (
-            chain_row_snapshots,
-            run_chain_batch,
-            run_star_batch,
-            star_row_snapshots,
-        )
-        from repro.mechanism.population import make_deviant
-
-        n_arr = len(array_rows)
-        w = np.empty((n_arr, m + 1))
-        z = np.empty((n_arr, m))
-        draws = np.empty((n_arr, m))
-        for k, i in enumerate(array_rows):
-            rng = np.random.default_rng(requests[i].seed)
-            network = _draw_network(requests[i], rng)
-            w[k] = network.w
-            z[k] = network.z
-            draws[k] = rng.random(m)
-        bids = execution_rates = bill_overcharge = None
-        if any(requests[i].deviant is not None for i in array_rows):
-            bids = w[:, 1:].copy()
-            execution_rates = w[:, 1:].copy()
-            bill_overcharge = np.zeros((n_arr, m))
-            for k, i in enumerate(array_rows):
-                if requests[i].deviant is None:
-                    continue
-                agent = make_deviant(requests[i].deviant, [float(x) for x in w[k, 1:]])
-                col = agent.index - 1
-                bids[k, col] = agent.choose_bid()
-                execution_rates[k, col] = agent.choose_execution_rate()
-                bill_overcharge[k, col] = agent.phase4_bill(0.0)
-        run_batch = run_star_batch if topology == "star" else run_chain_batch
-        with perf_span("serve.flush.array"):
-            outcome = run_batch(
-                w,
-                z,
-                bids=bids,
-                execution_rates=execution_rates,
-                bill_overcharge=bill_overcharge,
-                audit_probability=q,
-                audit_draws=draws,
-                # Counters merge per row, in request order, by the caller.
-                emit_metrics=False,
-            )
-        row_snaps = (
-            star_row_snapshots(outcome)
-            if topology == "star"
-            else chain_row_snapshots(outcome)
-        )
-        for k, i in enumerate(array_rows):
-            row_summary[i] = {
-                "topology": topology,
-                "m": m,
-                "seed": requests[i].seed,
-                "completed": True,
-                "aborted_phase": None,
-                "makespan": float(outcome.makespan[k]),
-                "fines_total": float(outcome.fines_total[k]),
-                "n_grievances": 0,
-                "n_audits": m,
-                "mechanism_outlay": float(outcome.mechanism_outlay[k]),
-            }
-            row_snapshot[i] = row_snaps[k]
-            row_engine[i] = "array"
-
-    # Lane and tree rows execute one at a time; each row's metric delta
-    # is captured without merging (collecting(merge=False)) so the
-    # caller controls the fold order.  The scalar-fallback count for
-    # tree rows is engine overhead, not part of any solo recipe, so it
-    # goes straight to the active registry.
-    registry = get_registry()
-    for i in range(batch_size):
-        if i in row_snapshot:
-            continue
-        if topology == "tree":
-            registry.inc("mechanism.scalar_fallbacks")
-            engine, span = "scalar", "serve.flush.tree"
-        else:
-            engine, span = "lane", "serve.flush.lane"
-        with perf_span(span), collecting(merge=False) as row_registry:
-            row_summary[i] = solo_summary(requests[i], engine=engine)
-        row_snapshot[i] = row_registry.snapshot()
-        row_engine[i] = engine
-
+    rows = run_rows(
+        topology,
+        m,
+        q,
+        [r.seed for r in requests],
+        [r.deviant for r in requests],
+        span="serve.flush",
+    )
     responses = [
         MechanismResponse(
             ok=True,
-            summary=row_summary[i],
-            request_id=requests[i].request_id,
-            served={"engine": row_engine[i], "batch_size": batch_size},
+            summary={"topology": topology, "m": m, "seed": request.seed, **fields},
+            request_id=request.request_id,
+            served={"engine": engine, "batch_size": len(requests)},
         )
-        for i in range(batch_size)
+        for request, fields, engine in zip(requests, rows.fields, rows.engines)
     ]
-    return responses, [row_snapshot[i] for i in range(batch_size)]
+    return responses, rows.snapshots
 
 
 def run_group(requests: Sequence[MechanismRequest]) -> list[MechanismResponse]:

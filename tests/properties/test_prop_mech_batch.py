@@ -240,6 +240,27 @@ class TestPopulationBatchPath:
         assert scalar_counters == batch_counters
         assert batched.events == []
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_back_to_back_populations_fold_like_the_scalar_loop(self, seed):
+        """Two populations in one scope: every stacked row folds into the
+        live counters in run order, as the scalar loop's runs do (a
+        stack merged as one total drifts by an ulp from the second call
+        on)."""
+
+        def counters(use_batch):
+            with collecting() as registry:
+                for population_seed in (seed, seed + 100):
+                    run_population(
+                        m=4,
+                        count=20,
+                        seed=population_seed,
+                        audit_probability=0.4,
+                        use_batch=use_batch,
+                    )
+                return _protocol_counters(registry.snapshot())
+
+        assert counters(True) == counters(False)
+
     def test_non_batchable_deviant_runs_batch_native(self):
         kwargs = dict(m=4, count=3, seed=2, deviant="2:shed:0.5")
         with collecting() as registry:

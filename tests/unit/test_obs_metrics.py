@@ -8,6 +8,7 @@ import pytest
 from repro.obs.metrics import (
     MetricsRegistry,
     collecting,
+    fold_snapshots,
     get_registry,
     merge_snapshots,
 )
@@ -106,6 +107,30 @@ class TestMergeAssociativity:
         reg.merge({"histograms": {"h": {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0}}})
         snap = reg.snapshot()
         assert snap["histograms"] == {}
+
+
+class TestFoldSnapshots:
+    def test_fold_equals_per_snapshot_merges(self):
+        """Counters-only rows take the direct fold; mixed rows the full
+        merge.  Both targets match one ``merge`` call per snapshot, from
+        a non-zero starting registry (float fold order included)."""
+        rows = [
+            {"counters": {"c": 0.1, "n": 1.0}},
+            TestMergeAssociativity.A,
+            {"counters": {"c": 0.2, "new": 3.0}},
+            TestMergeAssociativity.B,
+            {"counters": {"c": 0.3}},
+        ]
+        start = {"counters": {"c": 0.7}, "histograms": {}}
+        reference = MetricsRegistry()
+        reference.merge(start)
+        for snap in rows:
+            reference.merge(snap)
+        live = MetricsRegistry()
+        live.merge(start)
+        own = fold_snapshots(rows, live)
+        assert live.snapshot() == reference.snapshot()
+        assert own == merge_snapshots(rows)
 
 
 class TestCollecting:
