@@ -71,7 +71,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.dlt.batch import solve_linear_batch
+from repro.dlt.batch import _validate_stack, solve_linear_batch
 from repro.exceptions import InvalidNetworkError, ProtocolViolation
 from repro.mechanism.audit import BILL_TOL
 from repro.mechanism.dls_lbl import DLSLBLMechanism
@@ -149,7 +149,7 @@ def _challenges(audit_draws, q: float, shape: tuple[int, int]) -> np.ndarray:
 
 def _ledger_mirrors(
     root_pay: np.ndarray, billed: np.ndarray, audit_fines: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Replay the per-run ledger arithmetic of the scalar mechanisms.
 
     Entry order per run is: root reimbursement, then for each agent its
@@ -157,16 +157,20 @@ def _ledger_mirrors(
     accumulates in exactly that order so the floats match the scalar
     :class:`~repro.mechanism.ledger.PaymentLedger` bitwise (``a - b`` is
     IEEE-identical to ``a + (-b)``, which covers the negative-bill
-    direction flip).
+    direction flip).  The one column fold also yields each run's
+    ``ledger.volume`` and ``mechanism.fine_volume`` counter deltas.
 
-    Returns ``(balances, fines_total, mechanism_outlay, run_volume,
-    n_fine_entries)``.
+    Returns ``(balances, fines_total, mechanism_outlay, volume,
+    fine_volume)``, all per run.
     """
     n_agents = billed.shape[1]
+    # The scalar ledger's entry amount: the bill, or -bill when the
+    # direction flips (a -0.0 bill stays -0.0, unlike np.abs).
     abs_bill = np.where(billed >= 0.0, billed, -billed)
     balances = 0.0 + billed
     balances = np.where(audit_fines > 0.0, balances - audit_fines, balances)
     volume = root_pay.copy()
+    fine_volume = np.zeros_like(root_pay)
     fines_total = np.zeros_like(root_pay)
     outlay_balance = 0.0 - root_pay
     for i in range(n_agents):
@@ -177,9 +181,10 @@ def _ledger_mirrors(
         f = audit_fines[:, i]
         fined = f > 0.0
         volume = np.where(fined, volume + f, volume)
+        fine_volume = np.where(fined, fine_volume + f, fine_volume)
         fines_total = np.where(fined, fines_total + f, fines_total)
         outlay_balance = np.where(fined, outlay_balance + f, outlay_balance)
-    return balances, fines_total, -outlay_balance, volume, int(np.count_nonzero(audit_fines > 0.0))
+    return balances, fines_total, -outlay_balance, volume, fine_volume
 
 
 def _fold(values: np.ndarray) -> float:
@@ -191,15 +196,7 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _emit_counters(
-    registry,
-    *,
-    runs_counter: str,
-    n_runs: int,
-    n_audits: int,
-    challenged: np.ndarray,
-    audit_fines: np.ndarray,
-    n_fine_entries: int,
-    run_volume: np.ndarray,
+    registry, outcome: BatchChainOutcome | BatchStarOutcome, runs_counter: str
 ) -> None:
     """Emit the scalar mechanisms' protocol counters with identical totals.
 
@@ -207,20 +204,18 @@ def _emit_counters(
     counts are exact integers and the float volumes are per-run
     sequential sums folded in run order — replicated here (keys that a
     scalar population would never create stay absent)."""
+    n_runs, m = outcome.audit_fines.shape
     registry.inc(runs_counter, n_runs)
-    registry.inc("mechanism.audits", n_audits)
-    n_challenged = int(np.count_nonzero(challenged))
+    registry.inc("mechanism.audits", n_runs * m)
+    n_challenged = int(np.count_nonzero(outcome.challenged))
     if n_challenged:
         registry.inc("mechanism.audits_challenged", n_challenged)
+    n_fine_entries = int(np.count_nonzero(outcome.audit_fines > 0.0))
     if n_fine_entries:
         registry.inc("mechanism.fines", n_fine_entries)
-        fine_volume = np.zeros(audit_fines.shape[0])
-        for i in range(audit_fines.shape[1]):
-            f = audit_fines[:, i]
-            fine_volume = np.where(f > 0.0, fine_volume + f, fine_volume)
-        registry.inc("mechanism.fine_volume", _fold(fine_volume))
-    registry.inc("ledger.transfers", n_runs * (1 + audit_fines.shape[1]) + n_fine_entries)
-    registry.inc("ledger.volume", _fold(run_volume))
+        registry.inc("mechanism.fine_volume", _fold(outcome.fine_volume))
+    registry.inc("ledger.transfers", n_runs * (1 + m) + n_fine_entries)
+    registry.inc("ledger.volume", _fold(outcome.volume))
 
 
 @dataclass(frozen=True)
@@ -254,6 +249,8 @@ class BatchChainOutcome:
     utilities: np.ndarray       # (N, m)
     fines_total: np.ndarray     # (N,) total credited to the mechanism
     mechanism_outlay: np.ndarray  # (N,)
+    volume: np.ndarray          # (N,) per-run ledger.volume delta
+    fine_volume: np.ndarray     # (N,) per-run mechanism.fine_volume delta
 
     @property
     def n_runs(self) -> int:
@@ -292,6 +289,8 @@ class BatchStarOutcome:
     utilities: np.ndarray       # (N, n)
     fines_total: np.ndarray     # (N,)
     mechanism_outlay: np.ndarray  # (N,)
+    volume: np.ndarray          # (N,)
+    fine_volume: np.ndarray     # (N,)
 
     @property
     def n_runs(self) -> int:
@@ -351,6 +350,13 @@ def run_chain_batch(
     Returns
     -------
     BatchChainOutcome — every field bitwise-equal to the scalar runs.
+
+    Raises
+    ------
+    InvalidNetworkError
+        If the stacked bids or links hold a non-finite or non-positive
+        rate, or the shapes disagree (one check over the whole stack, in
+        the stacked solve).
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 2:
@@ -489,48 +495,41 @@ def run_chain_batch(
             )
 
             root_pay = assigned[:, 0] * w[:, 0]
-            balances, fines_total, outlay, run_volume, n_fine_entries = _ledger_mirrors(
+            balances, fines_total, outlay, volume, fine_volume = _ledger_mirrors(
                 root_pay, billed, audit_fines
             )
             valuations = -computed[:, 1:] * actual
             utilities = valuations + balances
 
-            if emit_metrics:
-                _emit_counters(
-                    registry,
-                    runs_counter="mechanism.runs",
-                    n_runs=n_runs,
-                    n_audits=n_runs * m,
-                    challenged=challenged,
-                    audit_fines=audit_fines,
-                    n_fine_entries=n_fine_entries,
-                    run_volume=run_volume,
-                )
-
-    return BatchChainOutcome(
-        bids=full_bids,
-        w_bar=w_bar,
-        alpha_hat=alpha_hat,
-        received_share=received,
-        assigned=assigned,
-        retained=retained,
-        received_actual=received_actual,
-        computed=computed,
-        actual_rates=rates_full,
-        arrival_times=arrival,
-        makespan=makespan,
-        fine=fine_arr,
-        correct_q=correct_q,
-        billed_q=billed,
-        recomputed_q=recomputed_q,
-        challenged=challenged,
-        audit_fines=audit_fines,
-        valuations=valuations,
-        balances=balances,
-        utilities=utilities,
-        fines_total=fines_total,
-        mechanism_outlay=outlay,
-    )
+        outcome = BatchChainOutcome(
+            bids=full_bids,
+            w_bar=w_bar,
+            alpha_hat=alpha_hat,
+            received_share=received,
+            assigned=assigned,
+            retained=retained,
+            received_actual=received_actual,
+            computed=computed,
+            actual_rates=rates_full,
+            arrival_times=arrival,
+            makespan=makespan,
+            fine=fine_arr,
+            correct_q=correct_q,
+            billed_q=billed,
+            recomputed_q=recomputed_q,
+            challenged=challenged,
+            audit_fines=audit_fines,
+            valuations=valuations,
+            balances=balances,
+            utilities=utilities,
+            fines_total=fines_total,
+            mechanism_outlay=outlay,
+            volume=volume,
+            fine_volume=fine_volume,
+        )
+        if emit_metrics:
+            _emit_counters(registry, outcome, "mechanism.runs")
+    return outcome
 
 
 def _star_alpha_batch(w: np.ndarray, z: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -573,13 +572,16 @@ def run_star_batch(
     execution, and bill overcharges; every such row completes its full
     assignment, so the meter's abandoned-work check is identically
     satisfied and the audit recomputation (from the root's own records)
-    reproduces the provable payment exactly.
+    reproduces the provable payment exactly.  Invalid stacks raise
+    :class:`~repro.exceptions.InvalidNetworkError` as in the chain engine.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 2:
         raise InvalidNetworkError(f"w must be (N, n+1) with n >= 1, got {w.shape}")
+    # The one check of the whole stack (the chain engine's runs in its
+    # stacked solve).
+    w, z = _validate_stack(w, z)
     n_runs, n = w.shape[0], w.shape[1] - 1
-    z = _as_matrix("z", z, (n_runs, n))
     q = float(audit_probability)
     if not 0.0 < q <= 1.0:
         raise ValueError("audit probability q must be in (0, 1]")
@@ -668,44 +670,37 @@ def run_star_batch(
         makespan = np.maximum(t_root_actual, t_served_actual.max(axis=1)) * load
 
         root_pay = assigned[:, 0] * w[:, 0]
-        balances, fines_total, outlay, run_volume, n_fine_entries = _ledger_mirrors(
+        balances, fines_total, outlay, volume, fine_volume = _ledger_mirrors(
             root_pay, billed, audit_fines
         )
         valuations = -computed[:, 1:] * actual
         utilities = valuations + balances
 
+        outcome = BatchStarOutcome(
+            bids=full_bids,
+            orders=orders,
+            alpha=alpha,
+            assigned=assigned,
+            computed=computed,
+            actual_rates=rates_full,
+            makespan=makespan,
+            fine=fine_arr,
+            correct_q=correct_q,
+            billed_q=billed,
+            recomputed_q=recomputed_q,
+            challenged=challenged,
+            audit_fines=audit_fines,
+            valuations=valuations,
+            balances=balances,
+            utilities=utilities,
+            fines_total=fines_total,
+            mechanism_outlay=outlay,
+            volume=volume,
+            fine_volume=fine_volume,
+        )
         if emit_metrics:
-            _emit_counters(
-                registry,
-                runs_counter="mechanism.star_runs",
-                n_runs=n_runs,
-                n_audits=n_runs * n,
-                challenged=challenged,
-                audit_fines=audit_fines,
-                n_fine_entries=n_fine_entries,
-                run_volume=run_volume,
-            )
-
-    return BatchStarOutcome(
-        bids=full_bids,
-        orders=orders,
-        alpha=alpha,
-        assigned=assigned,
-        computed=computed,
-        actual_rates=rates_full,
-        makespan=makespan,
-        fine=fine_arr,
-        correct_q=correct_q,
-        billed_q=billed,
-        recomputed_q=recomputed_q,
-        challenged=challenged,
-        audit_fines=audit_fines,
-        valuations=valuations,
-        balances=balances,
-        utilities=utilities,
-        fines_total=fines_total,
-        mechanism_outlay=outlay,
-    )
+            _emit_counters(registry, outcome, "mechanism.star_runs")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -908,20 +903,11 @@ def _row_snapshots(
     outcome: BatchChainOutcome | BatchStarOutcome, runs_counter: str
 ) -> list[dict[str, Any]]:
     m = outcome.bids.shape[1] - 1
-    fines = outcome.audit_fines
-    fined = fines > 0.0
-    n_fines = np.count_nonzero(fined, axis=1).tolist()
+    n_fines = np.count_nonzero(outcome.audit_fines > 0.0, axis=1).tolist()
     n_challenged = np.count_nonzero(outcome.challenged, axis=1).tolist()
-    # Column by column, each row folds its entries in ledger order.
-    fine_volume = np.zeros(fines.shape[0])
-    volume = outcome.assigned[:, 0] * outcome.bids[:, 0]
-    for i in range(m):
-        f = fines[:, i]
-        fine_volume = np.where(fined[:, i], fine_volume + f, fine_volume)
-        volume = volume + np.abs(outcome.billed_q[:, i])
-        volume = np.where(fined[:, i], volume + f, volume)
-    fine_volume = fine_volume.tolist()
-    volume = volume.tolist()
+    # The per-row volumes are the engine's one ledger fold.
+    fine_volume = outcome.fine_volume.tolist()
+    volume = outcome.volume.tolist()
     snapshots: list[dict[str, Any]] = []
     for k in range(len(volume)):
         counters: dict[str, float] = {runs_counter: 1.0, "mechanism.audits": float(m)}

@@ -30,7 +30,14 @@ active registry instead.
 
 The rng discipline: a solo run consumes ``default_rng(seed)`` as network
 draw, then one ``rng.random()`` per audit; a pre-shaped ``rng.random(m)``
-block equals those sequential draws bitwise.
+block equals those sequential draws bitwise.  Stacked chain and star
+rows make the same generator calls in the same order —
+:func:`~repro.network.generators.draw_rates` (``m + 1`` rates, then
+``m`` links), then the audit block — straight into the stack's ``w``,
+``z`` and draw matrices, so no network object is built per row and the
+stream is the solo run's by construction.  The batch engine validates
+the finished stack once (finite, strictly positive: one reduction per
+matrix) where the solo run validates each network.
 """
 
 from __future__ import annotations
@@ -249,16 +256,13 @@ class RowsResult:
     snapshots: list[dict[str, Any]]
 
 
-def _array_rows(
-    topology: str,
-    m: int,
-    audit_probability: float,
-    seeds: Sequence[int],
-    deviants: Sequence[str | None],
-) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """One stacked batch-engine call over array-expressible rows."""
-    from repro.mechanism import batch_run
-    from repro.mechanism.population import make_deviant
+def _draw_stack(m: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(n, m+1)`` rates ``w``, ``(n, m)`` links ``z`` and ``(n, m)``
+    audit draws of chain or star rows ``seeds``, drawn straight into the
+    stack: per seed, the solo recipe's generator calls in its order
+    (:func:`~repro.network.generators.draw_rates`, then one audit draw
+    per agent), with no network object per row."""
+    from repro.network.generators import draw_rates
 
     n = len(seeds)
     w = np.empty((n, m + 1))
@@ -266,10 +270,25 @@ def _array_rows(
     draws = np.empty((n, m))
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        network = draw_network(topology, m, rng)
-        w[k] = network.w
-        z[k] = network.z
-        draws[k] = rng.random(m)
+        w[k], z[k] = draw_rates(m, rng)
+        rng.random(out=draws[k])
+    return w, z, draws
+
+
+def _array_rows(
+    topology: str,
+    m: int,
+    audit_probability: float,
+    seeds: Sequence[int],
+    deviants: Sequence[str | None],
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """One stacked batch-engine call over array-expressible rows; the
+    engine validates the drawn stack once."""
+    from repro.mechanism import batch_run
+    from repro.mechanism.population import make_deviant
+
+    n = len(seeds)
+    w, z, draws = _draw_stack(m, seeds)
 
     bids = execution_rates = bill_overcharge = None
     if any(spec is not None for spec in deviants):

@@ -19,6 +19,7 @@ from repro.network.topology import LinearNetwork, StarNetwork, TreeNetwork, Tree
 __all__ = [
     "NetworkRegime",
     "REGIMES",
+    "draw_rates",
     "random_linear_network",
     "random_star_network",
     "random_tree_network",
@@ -98,6 +99,27 @@ REGIMES: dict[str, NetworkRegime] = {
 }
 
 
+def draw_rates(
+    m: int,
+    rng: np.random.Generator,
+    *,
+    regime: NetworkRegime | str = "uniform",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the ``(w, z)`` rates of an ``(m+1)``-processor chain or star.
+
+    The one draw order both topologies share: ``m + 1`` processor rates
+    (root first), then ``m`` link rates (none when ``m == 0``).  Stacked
+    callers that fill rate matrices row by row call this directly, so
+    their rows equal :func:`random_linear_network` /
+    :func:`random_star_network` on the same generator bitwise.
+    """
+    if isinstance(regime, str):
+        regime = REGIMES[regime]
+    w = regime.draw_w(rng, m + 1)
+    z = regime.draw_z(rng, m) if m > 0 else np.empty(0)
+    return w, z
+
+
 def random_linear_network(
     m: int,
     rng: np.random.Generator,
@@ -117,11 +139,7 @@ def random_linear_network(
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if isinstance(regime, str):
-        regime = REGIMES[regime]
-    w = regime.draw_w(rng, m + 1)
-    z = regime.draw_z(rng, m) if m > 0 else np.empty(0)
-    return LinearNetwork(w, z)
+    return LinearNetwork(*draw_rates(m, rng, regime=regime))
 
 
 def random_star_network(
@@ -133,11 +151,7 @@ def random_star_network(
     """Draw a random star network with ``n_children`` children."""
     if n_children < 1:
         raise ValueError("star needs at least one child")
-    if isinstance(regime, str):
-        regime = REGIMES[regime]
-    w = regime.draw_w(rng, n_children + 1)
-    z = regime.draw_z(rng, n_children)
-    return StarNetwork(w, z)
+    return StarNetwork(*draw_rates(n_children, rng, regime=regime))
 
 
 def random_tree_network(

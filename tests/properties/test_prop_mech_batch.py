@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents.strategies import (
     MisbiddingAgent,
@@ -24,6 +26,7 @@ from repro.experiments.runner import task_seed
 from repro.mechanism.batch_run import run_chain_batch, run_star_batch
 from repro.mechanism.dls_lbl import DLSLBLMechanism
 from repro.mechanism.population import run_population
+from repro.mechanism.rows import _draw_stack, _solo_delta, draw_network, run_rows
 from repro.mechanism.star_mechanism import StarMechanism
 from repro.network.generators import random_linear_network, random_star_network
 from repro.obs.metrics import collecting
@@ -158,6 +161,16 @@ class TestChainEngineDifferential:
             )
             assert fines == batch.fines_total[i]
             assert outcome.ledger.mechanism_outlay() == batch.mechanism_outlay[i]
+            # The per-run counter deltas: a fresh registry's left fold
+            # of every entry amount, and of the audit fines alone.
+            volume = fine_volume = 0.0
+            for entry in outcome.ledger.entries:
+                volume += entry.amount
+            for audit in outcome.audits:
+                if audit.fine > 0:
+                    fine_volume += audit.fine
+            assert volume == batch.volume[i]
+            assert fine_volume == batch.fine_volume[i]
 
 
 class TestStarEngineDifferential:
@@ -220,6 +233,55 @@ class TestStarEngineDifferential:
                     assert report.payment_billed == batch.billed_q[row, j - 1]
                     assert report.utility == batch.utilities[row, j - 1]
                     assert report.fines == batch.audit_fines[row, j - 1]
+
+
+class TestStackedDraw:
+    """The array path's stacked ``w`` / ``z`` / audit-draw rows are the
+    solo recipe's stream: ``draw_network`` then ``rng.random(m)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topology=st.sampled_from(["chain", "star"]),
+        m=st.integers(min_value=1, max_value=16),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=6),
+    )
+    def test_rows_equal_solo_draws(self, topology, m, seeds):
+        w, z, draws = _draw_stack(m, seeds)
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            network = draw_network(topology, m, rng)
+            assert np.array_equal(w[k], network.w)
+            assert np.array_equal(z[k], network.z)
+            assert np.array_equal(draws[k], rng.random(m))
+
+
+class TestStarRowsDifferential:
+    """Star ``run_rows`` (stacked array rows plus lane rows) against the
+    scalar :class:`StarMechanism` solo recipe, row by row."""
+
+    SPECS = (
+        None,
+        "1:overcharge:3.0",
+        "2:misbid:1.5",
+        None,
+        "1:slow:2.0",
+        "2:shed:0.5",
+        "1:contradict",
+        None,
+        "2:tamper",
+        "1:accuse",
+        "2:miscompute",
+    )
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_rows_equal_scalar_solo(self, m):
+        seeds = [task_seed(f"star/{i}", m) for i in range(len(self.SPECS))]
+        rows = run_rows("star", m, 0.5, seeds, self.SPECS)
+        assert "array" in rows.engines and "lane" in rows.engines
+        for i, (seed, spec) in enumerate(zip(seeds, self.SPECS)):
+            fields, _events, snapshot = _solo_delta("star", m, seed, 0.5, spec, "scalar", False)
+            assert rows.fields[i] == fields
+            assert _protocol_counters(rows.snapshots[i]) == _protocol_counters(snapshot)
 
 
 class TestPopulationBatchPath:

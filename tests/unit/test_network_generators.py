@@ -5,6 +5,7 @@ import pytest
 
 from repro.network.generators import (
     REGIMES,
+    draw_rates,
     random_linear_network,
     random_star_network,
     random_tree_network,
@@ -53,6 +54,28 @@ class TestRandomLinear:
         assert net.z.mean() > net.w.mean() / 3  # communication-dominant
 
 
+class TestDrawRates:
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_linear_network_is_the_drawn_pair(self, name, m):
+        w, z = draw_rates(m, np.random.default_rng(3), regime=name)
+        net = random_linear_network(m, np.random.default_rng(3), regime=name)
+        assert np.array_equal(w, net.w) and np.array_equal(z, net.z)
+        assert w.shape == (m + 1,) and z.shape == (m,)
+
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    def test_star_network_is_the_drawn_pair(self, name):
+        w, z = draw_rates(4, np.random.default_rng(3), regime=name)
+        star = random_star_network(4, np.random.default_rng(3), regime=name)
+        assert np.array_equal(w, star.w) and np.array_equal(z, star.z)
+
+    def test_zero_links_draw_nothing(self):
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        draw_rates(0, rng_a)
+        rng_b.uniform(1.0, 10.0, 1)
+        assert rng_a.random() == rng_b.random()
+
+
 class TestRandomStarAndTree:
     def test_star_shape(self, rng):
         star = random_star_network(6, rng)
@@ -61,6 +84,12 @@ class TestRandomStarAndTree:
     def test_star_needs_children(self, rng):
         with pytest.raises(ValueError):
             random_star_network(0, rng)
+
+    def test_star_rejected_before_drawing(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError):
+            random_star_network(0, rng)
+        assert rng.random() == np.random.default_rng(4).random()
 
     def test_tree_size(self, rng):
         tree = random_tree_network(10, rng)
