@@ -828,14 +828,17 @@ def _cmd_serve(args) -> int:
             except ValueError:
                 print(f"bad --weight {item!r}: expected TENANT=NUMBER")
                 return 2
+        try:
+            policy = FlushPolicy(max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3)
+        except ValueError as exc:
+            print(f"bad flush policy: {exc}")
+            return 2
 
         async def _serve() -> None:
             service = MechanismService(
                 args.host,
                 args.port,
-                policy=FlushPolicy(
-                    max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3
-                ),
+                policy=policy,
                 capacity=args.capacity,
                 tenant_capacity=args.tenant_capacity,
                 weights=weights or None,

@@ -206,7 +206,7 @@ def solve_linear_batch(w: np.ndarray, z: np.ndarray) -> BatchLinearSchedule:
     registry = get_registry()
     registry.inc("dlt.batch.linear_calls")
     registry.inc("dlt.batch.linear_instances", w_arr.shape[0])
-    with registry.timer("dlt.batch.linear"), perf_span("solve.batch_linear"):
+    with perf_span("solve.batch_linear"):
         alpha_hat, w_eq = backward_pass(w_arr, z_arr)
         alpha, received = alpha_from_alpha_hat(alpha_hat)
     return BatchLinearSchedule(
@@ -253,7 +253,7 @@ def solve_star_batch(
     registry = get_registry()
     registry.inc("dlt.batch.star_calls")
     registry.inc("dlt.batch.star_instances", w_arr.shape[0])
-    with registry.timer("dlt.batch.star"), perf_span("solve.batch_star"):
+    with perf_span("solve.batch_star"):
         alpha = star_alpha_kernel(w_arr, z_arr, cols)
     return BatchStarSchedule(
         w=w_arr,

@@ -58,9 +58,9 @@ Metrics: the engine emits the same protocol counters as the scalar runs
 (``mechanism.runs``/``star_runs``, ``mechanism.audits``,
 ``audits_challenged``, ``fines``, ``fine_volume``, ``ledger.transfers``,
 ``ledger.volume``) with bitwise-identical totals.  Implementation-cost
-metrics (``crypto.*`` counters, per-phase timers) have no batched
-analogue and are absent; batch solves add their own ``dlt.batch.*``
-counters.
+metrics (``crypto.*`` counters) have no batched analogue; batch solves
+add ``dlt.batch.*`` counters, and the ``mech_batch`` / ``mech_batch_star``
+perf spans time the stacked call.
 """
 
 from __future__ import annotations
@@ -373,8 +373,7 @@ def run_chain_batch(
     bid_arr = true_rates if bids is None else _as_matrix("bids", bids, (n_runs, m))
     full_bids = np.concatenate((w[:, :1], bid_arr), axis=1)
 
-    registry = get_registry()
-    with registry.timer("mechanism.batch_run"), perf_span("mech_batch"):
+    with perf_span("mech_batch"):
         # ---- Phase I: stacked Algorithm-1 solve + mechanism-faithful
         # local fractions.  The solver's w_eq IS the scalar w_bar; the
         # interior alpha_hat must be re-derived by the mechanism's
@@ -528,7 +527,7 @@ def run_chain_batch(
             fine_volume=fine_volume,
         )
         if emit_metrics:
-            _emit_counters(registry, outcome, "mechanism.runs")
+            _emit_counters(get_registry(), outcome, "mechanism.runs")
     return outcome
 
 
@@ -592,8 +591,7 @@ def run_star_batch(
     bid_arr = true_rates if bids is None else _as_matrix("bids", bids, (n_runs, n))
     full_bids = np.concatenate((w[:, :1], bid_arr), axis=1)
 
-    registry = get_registry()
-    with registry.timer("mechanism.star_batch_run"), perf_span("mech_batch_star"):
+    with perf_span("mech_batch_star"):
         # Service order: non-decreasing link time, stable per row — the
         # public bid-independent optimum the scalar mechanism uses.
         orders = np.argsort(z, axis=1, kind="stable") + 1
@@ -699,7 +697,7 @@ def run_star_batch(
             fine_volume=fine_volume,
         )
         if emit_metrics:
-            _emit_counters(registry, outcome, "mechanism.star_runs")
+            _emit_counters(get_registry(), outcome, "mechanism.star_runs")
     return outcome
 
 

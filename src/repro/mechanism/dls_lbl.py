@@ -245,12 +245,12 @@ class DLSLBLMechanism:
         """Execute Phases I–IV and return the full outcome.
 
         The run is wrapped in a ``run`` trace span with one nested span
-        per protocol phase; per-phase wall-clock goes to the metrics
-        registry (``time.mechanism.phase_*``), never into the trace.
+        per protocol phase; per-phase wall-clock goes to the perf spans
+        (``perf.….mechanism.phase_*``), never into the trace.
         """
         registry = get_registry()
         registry.inc("mechanism.runs")
-        with registry.timer("mechanism.run"), perf_span("mechanism"), self._span(
+        with perf_span("mechanism"), self._span(
             "run",
             m=self.m,
             fine=self.fine,
@@ -289,7 +289,7 @@ class DLSLBLMechanism:
         w_bar = np.empty(m + 1)
         alpha_hat = np.empty(m + 1)
         bid_messages: dict[int, SignedMessage] = {}
-        with registry.timer("mechanism.phase_1"), perf_span("phase_1"), self._span("phase_1", m=m):
+        with perf_span("phase_1"), self._span("phase_1", m=m):
             for i in range(m, 0, -1):
                 agent = self.agents[i]
                 if i == m:
@@ -344,7 +344,7 @@ class DLSLBLMechanism:
         def scalar(signer: int, kind: str, proc: int, value: float) -> SignedMessage:
             return self._sign(signer, value_payload(kind, proc, value))
 
-        with registry.timer("mechanism.phase_2"), perf_span("phase_2"), self._span("phase_2"):
+        with perf_span("phase_2"), self._span("phase_2"):
             # Root constructs G_1 (eq. 4.1) — all components root-signed.
             received_share[1] = 1.0 - alpha_hat[0]
             g_messages[1] = GMessage(
@@ -398,7 +398,7 @@ class DLSLBLMechanism:
         schedule = self._schedule_from_bids(bids, w_bar, alpha_hat, received_share)
 
         # ---------------- Phase III: distribution & computation ----------
-        with registry.timer("mechanism.phase_3"), perf_span("phase_3"), self._span("phase_3") as phase3_span:
+        with perf_span("phase_3"), self._span("phase_3") as phase3_span:
             actual_rates = np.empty(m + 1)
             actual_rates[0] = self.root_rate
             delays = np.zeros(m + 1)
@@ -463,7 +463,7 @@ class DLSLBLMechanism:
                     adjudications.append(self._settle(court.adjudicate(grievance), ledger))
 
         # ---------------- Phase IV: payments ------------------------------
-        with registry.timer("mechanism.phase_4"), perf_span("phase_4"), self._span("phase_4"):
+        with perf_span("phase_4"), self._span("phase_4"):
             # Root reimbursement (eq. 4.3): U_0 = 0 by construction.
             ledger.pay(0, float(assigned[0] * self.root_rate), "root reimbursement")
 

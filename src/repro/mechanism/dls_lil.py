@@ -47,6 +47,7 @@ from repro.mechanism.ledger import PaymentLedger
 from repro.mechanism.payments import payment_breakdown, recommended_fine
 from repro.network.topology import StarNetwork
 from repro.obs.metrics import get_registry
+from repro.obs.perf import span as perf_span
 from repro.obs.tracer import Tracer
 from repro.protocol.grievance import Adjudication, GrievanceCourt
 from repro.protocol.lambda_device import LambdaDevice, LoadCertificate
@@ -243,7 +244,7 @@ class DLSLILMechanism:
         """
         registry = get_registry()
         registry.inc("mechanism.lil_runs")
-        with registry.timer("mechanism.lil_run"), self._span(
+        with perf_span("mechanism_lil"), self._span(
             "run",
             topology="linear-interior",
             n=self.n,

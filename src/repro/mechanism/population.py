@@ -88,8 +88,8 @@ class PopulationResult:
         Merged trace events (empty unless tracing was requested); ids
         rebased so the stream is identical at any jobs count.
     metrics:
-        Merged metrics snapshot over all runs (wall-clock timers live
-        here, never in ``events``).
+        Merged metrics snapshot over all runs (wall-clock ``perf.*``
+        spans live here, never in ``events``).
     """
 
     runs: list[dict[str, Any]]
@@ -158,7 +158,7 @@ def run_population(
         specs = [deviant] * count
     if use_batch:
         seeds = [task_seed(f"mech/{i}", seed) for i in range(count)]
-        # The stacked call's engine overhead (timers, spans, dlt.batch.*
+        # The stacked call's engine overhead (perf spans, dlt.batch.*
         # counters) is captured apart from the per-row deltas, as a pool
         # worker captures a served group's.
         with collecting(merge=False) as scope:

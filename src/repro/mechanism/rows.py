@@ -24,9 +24,9 @@ is the one place that knows how:
 counter snapshot: what that row's solo run contributes to the
 ``mechanism.*`` / ``ledger.*`` counters.  Callers fold the snapshots in
 row order, which reproduces a solo loop's float accumulation exactly.
-Engine overhead that no solo run has (the stacked call's timers, spans
-and ``dlt.batch.*`` counters, the tree fallback count) lands in the
-active registry instead.
+Engine overhead that no solo run has (the stacked call's perf spans and
+``dlt.batch.*`` counters, the tree fallback count) lands in the active
+registry instead.
 
 The rng discipline: a solo run consumes ``default_rng(seed)`` as network
 draw, then one ``rng.random()`` per audit; a pre-shaped ``rng.random(m)``

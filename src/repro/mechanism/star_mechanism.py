@@ -49,6 +49,7 @@ from repro.mechanism.ledger import PaymentLedger
 from repro.mechanism.payments import recommended_fine
 from repro.network.topology import BusNetwork, StarNetwork
 from repro.obs.metrics import get_registry
+from repro.obs.perf import span as perf_span
 from repro.obs.tracer import Tracer
 from repro.protocol.grievance import Adjudication
 from repro.protocol.messages import bid_payload
@@ -207,7 +208,7 @@ class StarMechanism:
         """
         registry = get_registry()
         registry.inc("mechanism.star_runs")
-        with registry.timer("mechanism.star_run"), self._span(
+        with perf_span("mechanism_star"), self._span(
             "run",
             topology="star",
             n=self.n,

@@ -45,6 +45,7 @@ from repro.mechanism.payments import bonus as pair_bonus
 from repro.mechanism.payments import recommended_fine
 from repro.network.topology import StarNetwork, TreeNetwork, TreeNode
 from repro.obs.metrics import get_registry
+from repro.obs.perf import span as perf_span
 from repro.obs.tracer import Tracer
 
 __all__ = ["TreeMechanism", "TreeOutcome", "TreeNodeInfo"]
@@ -200,7 +201,7 @@ class TreeMechanism:
         """
         registry = get_registry()
         registry.inc("mechanism.tree_runs")
-        with registry.timer("mechanism.tree_run"), self._span(
+        with perf_span("mechanism_tree"), self._span(
             "run",
             topology="tree",
             n=len(self.nodes) - 1,

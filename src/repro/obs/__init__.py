@@ -6,10 +6,9 @@ and the experiment runner:
 - :mod:`repro.obs.tracer` — deterministic JSONL span/event records with
   simulated-time stamps (byte-identical across ``--jobs`` counts);
 - :mod:`repro.obs.metrics` — named counters/gauges/log-bucket latency
-  histograms/timers with per-worker snapshot-and-merge and exact
-  p50/p95/p99 extraction;
-- :mod:`repro.obs.perf` — hierarchical wall-clock profiling spans
-  (``perf.<path>`` histograms, never the trace stream);
+  histograms with per-worker snapshot-and-merge and exact p50/p95/p99;
+- :mod:`repro.obs.perf` — hierarchical wall-clock profiling spans, the
+  only in-program timer (``perf.<path>`` histograms, never the trace);
 - :mod:`repro.obs.bench` — machine-fingerprinted ``BENCH_history.jsonl``
   trajectory rows and the ``perf diff`` regression gate;
 - :mod:`repro.obs.report` / :mod:`repro.obs.summary` —

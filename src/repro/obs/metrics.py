@@ -1,4 +1,4 @@
-"""Metrics registry: named counters, gauges, histograms and timers.
+"""Metrics registry: named counters, gauges and histograms.
 
 The observability layer's second leg (the first is the event tracer in
 :mod:`repro.obs.tracer`): a process-wide registry of named metrics that
@@ -15,14 +15,14 @@ constraints drive the shape:
    for the duration of a task and folds it into the enclosing registry on
    exit, so callers get the task's *delta* without double counting —
    the same code path works in-process and in a pooled worker.
-3. **Negligible cost.**  A counter increment is one dict operation; a
-   timer is two ``perf_counter`` calls.  Instrumenting a kernel that
-   does real work does not move its benchmark.
+3. **Negligible cost.**  A counter increment is one dict operation.
+   Instrumenting a kernel that does real work does not move its
+   benchmark.
 
 Naming convention: dotted lowercase paths (``crypto.signatures_created``,
-``mechanism.fines_levied``, ``cache.solve_linear.hits``).  Timer
-durations are recorded as histograms under ``time.<name>`` in seconds;
-profiling spans (:mod:`repro.obs.perf`) land under ``perf.<path>``.
+``mechanism.fines_levied``, ``cache.solve_linear.hits``).  The registry
+has no clock: wall-clock time enters only as :mod:`repro.obs.perf`
+spans, histograms under ``perf.<path>`` in seconds.
 
 Histograms are **fixed-bucket log-scale**: positive observations fall
 into quarter-octave buckets (four buckets per power of two, ~19% wide,
@@ -37,7 +37,6 @@ therefore identical no matter how many workers contributed.
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
@@ -227,9 +226,8 @@ class MetricsRegistry:
     >>> reg.inc("cache.hits", 2)
     >>> reg.counter("cache.hits")
     3.0
-    >>> with reg.timer("solve"):
-    ...     pass
-    >>> reg.snapshot()["histograms"]["time.solve"]["count"]
+    >>> reg.observe("serve.batch_size", 4)
+    >>> reg.snapshot()["histograms"]["serve.batch_size"]["count"]
     1
     """
 
@@ -261,7 +259,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> float | None:
         return self._gauges.get(name)
 
-    # -- histograms / timers -------------------------------------------
+    # -- histograms ----------------------------------------------------
 
     def observe(self, name: str, value: float) -> None:
         """Add an observation to histogram ``name``."""
@@ -269,19 +267,6 @@ class MetricsRegistry:
         if hist is None:
             hist = self._histograms[name] = LatencyHistogram()
         hist.observe(float(value))
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time the enclosed block into histogram ``time.<name>`` (seconds).
-
-        Wall-clock readings never enter the deterministic event trace —
-        they live only in metrics, which are allowed to vary run to run.
-        """
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(f"time.{name}", time.perf_counter() - start)
 
     # -- snapshot / merge / reset --------------------------------------
 

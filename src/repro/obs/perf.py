@@ -49,6 +49,7 @@ __all__ = [
     "perf_enabled",
     "set_enabled",
     "span_tree",
+    "span_total",
     "format_span_tree",
     "format_latency_table",
 ]
@@ -187,6 +188,13 @@ def span_tree(histograms: Mapping[str, Mapping[str, Any]]) -> dict[str, dict[str
     return nodes
 
 
+def span_total(histograms: Mapping[str, Mapping[str, Any]], suffix: str) -> tuple[int, float]:
+    """``(count, seconds)`` summed over every span path ending in ``.suffix``,
+    top level or nested under any span (``runtime.epoch.``, ``serve.flush.lane.``)."""
+    hits = [h for n, h in histograms.items() if n.startswith(PERF_PREFIX) and n.endswith("." + suffix)]
+    return sum(int(h["count"]) for h in hits), sum(float(h["total"]) for h in hits)
+
+
 def _walk(nodes: Mapping[str, dict[str, Any]], path: str, depth: int, lines: list) -> None:
     node = nodes[path]
     label = "  " * depth + path.rsplit(".", 1)[-1]
@@ -231,11 +239,8 @@ def _fmt_seconds(value: float) -> str:
     return f"{value * 1e6:.1f}us"
 
 
-def format_latency_table(
-    histograms: Mapping[str, Mapping[str, Any]],
-    prefixes: tuple[str, ...] = ("perf.", "time."),
-) -> str:
-    """Percentile table (count/mean/p50/p95/p99/max) for latency histograms.
+def format_latency_table(histograms: Mapping[str, Mapping[str, Any]]) -> str:
+    """Percentile table (count/mean/p50/p95/p99/max) for the ``perf.*`` spans.
 
     Quantiles are recomputed from the merged buckets via
     :meth:`LatencyHistogram.from_dict`, so the table is exact for
@@ -244,7 +249,7 @@ def format_latency_table(
     """
     rows = []
     for name in sorted(histograms):
-        if not name.startswith(prefixes):
+        if not name.startswith(PERF_PREFIX):
             continue
         data = histograms[name]
         hist = LatencyHistogram.from_dict(data)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Any, Mapping, Sequence
 
+from repro.obs.perf import span_total
 from repro.obs.tracer import TraceEvent
 
 __all__ = ["summarize_trace"]
@@ -53,8 +54,8 @@ def summarize_trace(
     for kind in PHASE_KINDS:
         spans = [e for e in events if e.kind == kind]
         nested = sum(len(children.get(e.id, [])) for e in spans)
-        timing = histograms.get(f"time.mechanism.{kind}")
-        wall = _fmt(float(timing["total"])) if timing else "-"
+        count, total = span_total(histograms, f"mechanism.{kind}")
+        wall = _fmt(total) if count else "-"
         lines.append(f"{kind:<9} {len(spans):>6} {nested:>7}  {wall}")
 
     # ---- simulated activity -----------------------------------------
@@ -134,7 +135,7 @@ def summarize_trace(
     else:
         lines.append("ledger: no transfers")
 
-    # ---- metrics sidecar (cache, crypto, timers) ---------------------
+    # ---- metrics sidecar (cache, crypto, perf spans) -----------------
     if metrics:
         gauges = metrics.get("gauges", {})
         counters = metrics.get("counters", {})
@@ -157,12 +158,11 @@ def summarize_trace(
                 f"crypto: {int(sigs or 0)} signatures created, "
                 f"{int(verifs or 0)} verifications performed"
             )
-        run_hist = histograms.get("time.mechanism.run")
-        if run_hist:
+        count, total = span_total(histograms, "mechanism")
+        if count:
             lines.append(
-                f"mechanism wall-clock: {run_hist['count']} runs, "
-                f"total {_fmt(float(run_hist['total']))}s, "
-                f"mean {_fmt(float(run_hist['mean']))}s"
+                f"mechanism wall-clock: {count} runs, "
+                f"total {_fmt(total)}s, mean {_fmt(total / count)}s"
             )
         # Fallbacks off the batch engine are regressions-in-waiting:
         # surface the count even when zero so its absence is visible.

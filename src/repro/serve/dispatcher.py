@@ -91,8 +91,8 @@ class FlushPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+        if not 0 <= self.max_wait_s < float("inf"):
+            raise ValueError("max_wait_s must be finite and non-negative")
 
     @property
     def label(self) -> str:

@@ -107,6 +107,13 @@ def _require_int(value: Any, name: str) -> int:
     return value
 
 
+def _require_real(value: Any, name: str) -> float:
+    """A strict int or float: no bools (JSON ``true``), no strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RequestError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MechanismRequest:
     """One mechanism run as a service request.
@@ -181,7 +188,7 @@ class MechanismRequest:
                 f"tenant must be 1..{_TENANT_MAX_LEN} chars of [A-Za-z0-9._-], "
                 f"got {self.tenant!r}"
             )
-        if not 0.0 < float(self.audit_probability) <= 1.0:
+        if not 0.0 < _require_real(self.audit_probability, "audit_probability") <= 1.0:
             raise RequestError(
                 f"audit probability must be in (0, 1], got {self.audit_probability!r}"
             )
@@ -250,11 +257,10 @@ class MechanismRequest:
     def from_wire(cls, msg: Mapping[str, Any]) -> "MechanismRequest":
         """Parse (and validate) a wire message; raises :class:`RequestError`.
 
-        Integer fields are validated on the *raw* JSON values: a JSON
-        ``true`` never reaches ``int()`` (where it would silently become
-        1), and ``request_id`` must be an integer or null — the service
-        echoes it back, so arbitrary JSON is refused rather than
-        reflected.
+        Numeric fields are validated on the *raw* JSON values: a JSON
+        ``true`` never silently becomes 1, a string is never parsed as a
+        number, and ``request_id`` must be an integer or null — the service
+        echoes it back, so arbitrary JSON is refused rather than reflected.
         """
         m = _require_int(msg.get("m", 4), "m")
         seed = _require_int(msg.get("seed", 0), "seed")
@@ -268,7 +274,7 @@ class MechanismRequest:
                 topology=msg.get("topology", "chain"),
                 m=m,
                 seed=seed,
-                audit_probability=float(msg.get("audit_probability", 0.25)),
+                audit_probability=msg.get("audit_probability", 0.25),
                 deviant=msg.get("deviant"),
                 request_id=request_id,
                 tenant=tenant,

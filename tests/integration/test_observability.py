@@ -128,7 +128,7 @@ class TestCli:
 
         report = json.loads(open(metrics_path).read())
         assert report["counters"]["mechanism.runs"] == 3
-        assert "time.mechanism.run" in report["histograms"]
+        assert "perf.mechanism" in report["histograms"]
 
         rc = main(["trace", "summarize", trace_path, "--metrics", metrics_path])
         assert rc == 0

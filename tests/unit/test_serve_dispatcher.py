@@ -22,10 +22,30 @@ class TestFlushPolicy:
         assert policy.max_batch == 64
         assert policy.max_wait_s == 0.0
 
-    @pytest.mark.parametrize("kwargs", [{"max_batch": 0}, {"max_wait_s": -0.1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_batch": 0},
+            {"max_wait_s": -0.1},
+            # A non-finite straggler window would hold a lone request forever.
+            {"max_wait_s": float("nan")},
+            {"max_wait_s": float("inf")},
+        ],
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FlushPolicy(**kwargs)
+
+    def test_cli_rejects_non_finite_wait(self, capsys, monkeypatch):
+        import repro.serve
+        from repro.cli import main
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("the service must not start")
+
+        monkeypatch.setattr(repro.serve, "MechanismService", never)
+        assert main(["serve", "start", "--max-wait-ms", "nan"]) == 2
+        assert "finite" in capsys.readouterr().out
 
     def test_label(self):
         assert FlushPolicy(max_batch=8, max_wait_s=0.002).label == "batch8@2ms"

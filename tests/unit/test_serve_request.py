@@ -88,6 +88,12 @@ class TestValidation:
         with pytest.raises(RequestError, match="audit probability"):
             MechanismRequest(audit_probability=q).validate()
 
+    @pytest.mark.parametrize("q", [True, "0.5", " 1 ", None, [0.5]])
+    def test_non_number_audit_probability_rejected(self, q):
+        # Refused at validate(), before a flush would call float() on it.
+        with pytest.raises(RequestError, match="audit_probability must be a number"):
+            MechanismRequest(audit_probability=q).validate()
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -158,6 +164,16 @@ class TestWireFormat:
             MechanismRequest.from_wire({"request_id": True})
         with pytest.raises(RequestError, match="priority must be an integer"):
             MechanismRequest.from_wire({"priority": True})
+
+    @pytest.mark.parametrize("q", [True, False, "0.5", " 1 ", None, {"q": 1}])
+    def test_from_wire_rejects_non_number_audit_probability(self, q):
+        # JSON true must never become q = 1.0, nor a string be parsed.
+        with pytest.raises(RequestError, match="audit_probability must be a number"):
+            MechanismRequest.from_wire({"audit_probability": q})
+
+    @pytest.mark.parametrize("q", [1, 0.5])
+    def test_from_wire_accepts_json_int_and_float_audit_probability(self, q):
+        assert MechanismRequest.from_wire({"audit_probability": q}).audit_probability == q
 
     def test_from_wire_rejects_non_integer_request_id(self):
         # The service echoes request_id back; arbitrary JSON is refused
