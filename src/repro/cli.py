@@ -833,8 +833,7 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             print(f"bad flush policy: {exc}")
             return 2
-
-        async def _serve() -> None:
+        try:
             service = MechanismService(
                 args.host,
                 args.port,
@@ -844,6 +843,11 @@ def _cmd_serve(args) -> int:
                 weights=weights or None,
                 workers=args.workers,
             )
+        except ValueError as exc:
+            print(f"bad serve configuration: {exc}")
+            return 2
+
+        async def _serve() -> None:
             await service.start()
             if args.port_file:
                 with open(args.port_file, "w", encoding="utf-8") as fh:

@@ -28,7 +28,7 @@ Modules
 
 from repro.serve.admission import AdmissionError, AdmissionQueue
 from repro.serve.dispatcher import Dispatcher, FlushPolicy
-from repro.serve.engine import run_coalesced, run_group, run_group_rows, solo_summary
+from repro.serve.engine import run_group_rows, solo_summary
 from repro.serve.pool import WorkerPool
 from repro.serve.request import MechanismRequest, MechanismResponse, RequestError
 from repro.serve.service import MechanismService
@@ -43,8 +43,6 @@ __all__ = [
     "MechanismService",
     "RequestError",
     "WorkerPool",
-    "run_coalesced",
-    "run_group",
     "run_group_rows",
     "solo_summary",
 ]

@@ -58,8 +58,8 @@ class AdmissionQueue:
         refused even when the queue has room.
     weights:
         Deficit-round-robin weight per tenant name (default 1 each).
-        Weights must be at least 1 so every ring visit can serve at
-        least one request (no livelock, bounded rotation latency).
+        Weights must be finite and at least 1 (no livelock, bounded
+        rotation latency).
 
     The shutdown sentinel is tracked as an explicit flag, never as a
     phantom queue slot: :meth:`depth` counts exactly the pending
@@ -82,8 +82,10 @@ class AdmissionQueue:
         if self.tenant_capacity < 1:
             raise ValueError("tenant capacity must be at least 1")
         self._weights = {str(k): float(v) for k, v in (weights or {}).items()}
-        if any(w < 1.0 for w in self._weights.values()):
-            raise ValueError("tenant weights must be at least 1")
+        # NaN would never reach a deficit of 1 (an endless ring spin);
+        # inf would never spend its deficit (no rotation bound).
+        if any(not 1.0 <= w < float("inf") for w in self._weights.values()):
+            raise ValueError("tenant weights must be finite and at least 1")
         # tenant -> heap of (-priority, seq, request, future): highest
         # priority first, FIFO (by global admission seq) within a level.
         self._tenants: dict[str, list[tuple]] = {}

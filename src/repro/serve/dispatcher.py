@@ -9,36 +9,32 @@ partitions its members into compatible groups (same topology/m/q) and
 executes each group via :func:`repro.serve.engine.run_group_rows`, which
 demultiplexes per-request summaries bitwise-equal to solo scalar runs.
 
-Two execution modes:
+One flush path, two executors.  A flush hands each group to an
+executor's ``submit`` and queues itself for one merger coroutine, which
+awaits the groups strictly in dispatch order:
 
-- **Inline** (no pool): groups run synchronously in the event loop, as
-  mechanism runs are CPU-bound numpy work with no await points.  The
-  loop cannot read sockets during a flush, so the backlog the next
-  flush takes is exactly what arrived while the engine was busy.
+- **Inline** (no pool): ``submit`` returns an awaitable that runs the
+  group in the event loop when the merger awaits it.  The loop cannot
+  read sockets while a group runs, so the backlog the next flush takes
+  is exactly what arrived while the engine was busy.
 - **Pooled** (a :class:`~repro.serve.pool.WorkerPool`): each group is
   shipped to a worker process and the dispatcher goes back to batching
-  while it runs; a dedicated merger coroutine consumes finished flushes
-  strictly in dispatch order.  An in-flight semaphore (two flushes per
-  worker) bounds the backlog between dispatcher and merger.  The
-  dispatcher takes a slot *before* it opens a batch, so requests that
-  arrive while every slot is busy join one flush when a slot frees.
+  while it runs.
 
-Both modes settle each group through one helper, ``_fill_group``:
-engine exception → structured error responses, mis-sized return →
-padding, then the group's responses and row deltas fill the flush's
-request-order slots.
+An in-flight semaphore (two flushes per worker; inline counts as one
+worker) bounds the backlog between dispatcher and merger.  The
+dispatcher takes a slot *before* it opens a batch, so requests that
+arrive while every slot is busy join one flush when a slot frees.
 
-Either way the metric fold is identical: groups return *unmerged*
-per-row counter deltas, and the event loop merges them in request order
-(flush order across flushes, ascending request index within a flush) —
-the exact per-run fold a solo loop over the admitted requests performs,
-so ``mechanism.*``/``ledger.*`` totals stay bitwise-equal to the scalar
+The merger settles every group alike: a group that failed — the engine
+raised, or ``submit`` did (a dead worker pool) — becomes structured
+error responses counted under ``serve.errors``; a mis-sized return is
+padded, so no caller is left hanging.  Groups return *unmerged* per-row
+counter deltas, and the merger folds them in request order (flush order
+across flushes, ascending request index within a flush) — the exact
+per-run fold a solo loop over the admitted requests performs, so
+``mechanism.*``/``ledger.*`` totals stay bitwise-equal to the scalar
 recipe no matter the worker count.
-
-Future resolution is guarded: a group whose engine call returns fewer
-responses than requests (a bug class that used to leave the tail callers
-hanging forever) fails every unresolved member with a structured
-internal error instead.
 
 The flush policy: ``max_batch`` caps one flush (``max_batch=1`` is
 solo-scalar dispatch; the default only bounds how long the first request
@@ -56,19 +52,16 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Awaitable, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.perf import span as perf_span
 from repro.serve.admission import SHUTDOWN, AdmissionQueue
 from repro.serve.engine import group_by_key, run_group_rows
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import GroupResult, WorkerPool
 from repro.serve.request import MechanismRequest, MechanismResponse
 
 __all__ = ["Dispatcher", "FlushPolicy"]
-
-#: An admitted (request, response-future) pair, as the queue yields them.
-_Item = "tuple[MechanismRequest, asyncio.Future[Any]]"
 
 
 @dataclass(frozen=True)
@@ -99,6 +92,24 @@ class FlushPolicy:
         return f"batch{self.max_batch}@{self.max_wait_s * 1e3:g}ms"
 
 
+class _InlineExecutor:
+    """The no-pool executor: one "worker", the event loop itself.
+
+    ``submit`` defers the group — calling it returns a coroutine — so the
+    group runs when the merger awaits it: inside the merger's
+    ``serve.flush`` span, and after every earlier flush's callers are
+    resolved.  The engine records its overhead straight into the live
+    registry, so none ships back.
+    """
+
+    workers = 1
+
+    async def submit(self, requests: Sequence[MechanismRequest]) -> GroupResult:
+        # Looked up as this module's global at call time: benches patch it.
+        responses, row_snaps = run_group_rows(requests)
+        return responses, row_snaps, {}
+
+
 class Dispatcher:
     """The micro-batching loop over one :class:`AdmissionQueue`."""
 
@@ -111,22 +122,21 @@ class Dispatcher:
         self.queue = queue
         self.policy = policy or FlushPolicy()
         self.pool = pool
+        self._executor = pool if pool is not None else _InlineExecutor()
         self._task: asyncio.Task[None] | None = None
         self._merger: asyncio.Task[None] | None = None
-        # Flush descriptors travel dispatcher -> merger strictly FIFO so
-        # counter folds happen in dispatch order even when workers finish
-        # out of order.
+        # Flushes travel dispatcher -> merger strictly FIFO so counter
+        # folds happen in dispatch order even when workers finish out of
+        # order.
         self._finished: asyncio.Queue[Any] = asyncio.Queue()
-        self._inflight = (
-            asyncio.Semaphore(2 * pool.workers) if pool is not None else None
-        )
+        self._inflight = asyncio.Semaphore(2 * self._executor.workers)
 
     def start(self) -> None:
         loop = asyncio.get_running_loop()
         self._task = loop.create_task(self._run())
+        self._merger = loop.create_task(self._merge_loop())
         if self.pool is not None:
             get_registry().set_gauge("serve.pool_workers", float(self.pool.workers))
-            self._merger = loop.create_task(self._merge_loop())
 
     async def join(self) -> None:
         """Wait for the loop to exit (after :meth:`AdmissionQueue.close`)."""
@@ -138,16 +148,14 @@ class Dispatcher:
 
     async def _run(self) -> None:
         while True:
-            if self._inflight is not None:
-                # Pooled: wait for a free slot *before* opening the
-                # batch, so everything admitted while every worker is
-                # busy joins this flush instead of queueing behind a
-                # one-row batch that already left.
-                await self._inflight.acquire()
+            # Wait for a free slot *before* opening the batch, so
+            # everything admitted while every slot is busy joins this
+            # flush instead of queueing behind a one-row batch that
+            # already left.
+            await self._inflight.acquire()
             item = await self.queue.get()
             if item is SHUTDOWN:
-                if self._inflight is not None:
-                    self._inflight.release()
+                self._inflight.release()
                 return
             batch, draining = await self._fill([item])
             self._flush(batch)
@@ -185,107 +193,82 @@ class Dispatcher:
         return batch, False
 
     def _flush(self, batch: list[Any]) -> None:
-        """Execute one flush: inline in the loop, or shipped to the pool."""
+        """Submit one flush's groups and queue the flush for the merger.
+
+        The in-flight slot was taken in ``_run``; the merger releases it.
+        """
         registry = get_registry()
         registry.inc("serve.flushes")
         registry.observe("serve.batch_size", float(len(batch)))
-        if self.pool is None:
-            self._flush_inline(batch, registry)
-            return
-        # The in-flight slot was taken in _run; the merger releases it.
         requests = [request for request, _future in batch]
         futures = [future for _request, future in batch]
         submitted = []
         for indices in group_by_key(requests):
             registry.inc("serve.flush_groups")
-            registry.inc("serve.pool_dispatches")
-            submitted.append((indices, self.pool.submit([requests[i] for i in indices])))
-        self._finished.put_nowait((requests, futures, submitted))
+            if self.pool is not None:
+                registry.inc("serve.pool_dispatches")
+            group = [requests[i] for i in indices]
+            submitted.append((indices, group, self._submit(group)))
+        self._finished.put_nowait((futures, submitted))
+
+    def _submit(self, group: list[MechanismRequest]) -> Awaitable[GroupResult]:
+        """Hand one group to the executor; a raising ``submit`` becomes
+        the group's failed future, settled by the merger like any other."""
+        try:
+            return self._executor.submit(group)
+        except Exception as exc:
+            failed = asyncio.get_running_loop().create_future()
+            failed.set_exception(exc)
+            return failed
 
     async def _merge_loop(self) -> None:
-        """Consume finished flushes in dispatch order (pooled mode).
+        """Settle queued flushes in dispatch order.
 
-        Awaiting each flush's group futures FIFO — not completion
-        order — is what keeps the counter fold deterministic: snapshots
-        merge flush-by-flush exactly as they were dispatched.
+        Awaiting each flush's groups FIFO — not completion order — is
+        what keeps the counter fold deterministic: snapshots merge
+        flush-by-flush exactly as they were dispatched.
         """
         while True:
-            descriptor = await self._finished.get()
-            if descriptor is None:
+            flush = await self._finished.get()
+            if flush is None:
                 break
-            requests, futures, submitted = descriptor
+            futures, submitted = flush
             registry = get_registry()
             try:
                 with perf_span("serve.flush"):
-                    responses: list[MechanismResponse | None] = [None] * len(requests)
-                    snapshots: list[dict[str, Any] | None] = [None] * len(requests)
-                    for indices, pool_future in submitted:
-                        # Settle first; _shipped reads the outcome (or the
-                        # worker's exception) back from the future.
-                        await asyncio.wait((pool_future,))
-                        _fill_group(
-                            indices,
-                            requests,
-                            lambda _group: _shipped(pool_future, registry),
-                            registry,
-                            responses,
-                            snapshots,
-                        )
+                    responses: list[MechanismResponse | None] = [None] * len(futures)
+                    snapshots: list[dict[str, Any] | None] = [None] * len(futures)
+                    for indices, group, pending in submitted:
+                        group_responses, row_snaps = await _settle(group, pending, registry)
+                        for i, response, snap in zip(indices, group_responses, row_snaps):
+                            responses[i] = response
+                            snapshots[i] = snap
                     _merge_and_resolve(responses, snapshots, futures, registry)
             finally:
-                self._inflight.release()  # type: ignore[union-attr]
-
-    def _flush_inline(self, batch: list[Any], registry: MetricsRegistry) -> None:
-        """Run one flush inline, resolving every member's future."""
-        requests = [request for request, _future in batch]
-        futures = [future for _request, future in batch]
-        responses: list[MechanismResponse | None] = [None] * len(batch)
-        snapshots: list[dict[str, Any] | None] = [None] * len(batch)
-        with perf_span("serve.flush"):
-            for indices in group_by_key(requests):
-                registry.inc("serve.flush_groups")
-                _fill_group(indices, requests, run_group_rows, registry, responses, snapshots)
-            _merge_and_resolve(responses, snapshots, futures, registry)
+                self._inflight.release()
 
 
-def _fill_group(
-    indices: Sequence[int],
-    requests: Sequence[MechanismRequest],
-    run: Callable[[list[MechanismRequest]], tuple[list[MechanismResponse], list[dict[str, Any]]]],
+async def _settle(
+    group: Sequence[MechanismRequest],
+    pending: Awaitable[GroupResult],
     registry: MetricsRegistry,
-    responses: list[MechanismResponse | None],
-    snapshots: list[dict[str, Any] | None],
-) -> None:
-    """Map one group to ``(responses, row_snaps)`` via ``run`` and fill
-    the flush's slots at ``indices``.
-
-    An exception fails every member with a structured error (counted
-    under ``serve.errors``); a mis-sized return is padded.
-    """
-    group = [requests[i] for i in indices]
-    try:
-        group_responses, row_snaps = run(group)
-    except Exception as exc:
-        group_responses = _error_responses(group, exc)
-        row_snaps = [{} for _ in group]
-        registry.inc("serve.errors", float(len(group)))
-    group_responses, row_snaps = _pad_group(group, group_responses, row_snaps, registry)
-    for i, response, snap in zip(indices, group_responses, row_snaps):
-        responses[i] = response
-        snapshots[i] = snap
-
-
-def _shipped(
-    pool_future: "asyncio.Future[Any]", registry: MetricsRegistry
 ) -> tuple[list[MechanismResponse], list[dict[str, Any]]]:
-    """A pooled group's responses and row deltas.  Its engine overhead
-    (worker-side perf spans, tree scalar-fallback counts) merges here:
-    integer counters and histograms only, so the merge point cannot
-    perturb float folds."""
-    group_responses, row_snaps, overhead = pool_future.result()
+    """One group's responses and row deltas, one per member.
+
+    A failed group fails every member with a structured error (counted
+    under ``serve.errors``); a mis-sized return is padded.  A pooled
+    group's engine overhead (worker-side perf spans, tree
+    scalar-fallback counts) merges here: integer counters and histograms
+    only, so the merge point cannot perturb float folds.
+    """
+    try:
+        group_responses, row_snaps, overhead = await pending
+    except Exception as exc:
+        registry.inc("serve.errors", float(len(group)))
+        return _error_responses(group, exc), [{} for _ in group]
     if overhead:
         registry.merge(overhead)
-    return group_responses, row_snaps
+    return _pad_group(group, group_responses, row_snaps, registry)
 
 
 def _error_responses(

@@ -22,9 +22,9 @@ onto rows and rows back onto responses:
   the caller (the dispatcher's event loop, even when the rows ran in a
   pool worker) can fold them in request order: the same per-run float
   fold a solo loop over these requests would produce.
-- :func:`run_group` / :func:`run_coalesced` are the in-process
-  compositions: run the rows, merge the per-row snapshots into the live
-  registry in request order, reassemble responses in input order.
+- :func:`group_by_key` partitions a flush into those groups.  The
+  dispatcher submits each group to its executor and folds the returned
+  deltas in request order; it is the only composition of these pieces.
 """
 
 from __future__ import annotations
@@ -32,16 +32,9 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.mechanism.rows import run_rows, solo_row
-from repro.obs.metrics import get_registry
 from repro.serve.request import MechanismRequest, MechanismResponse
 
-__all__ = [
-    "group_by_key",
-    "run_coalesced",
-    "run_group",
-    "run_group_rows",
-    "solo_summary",
-]
+__all__ = ["group_by_key", "run_group_rows", "solo_summary"]
 
 
 def solo_summary(request: MechanismRequest, engine: str = "scalar") -> dict[str, Any]:
@@ -90,7 +83,7 @@ def run_group_rows(
         return [], []
     keys = {r.batch_key for r in requests}
     if len(keys) > 1:
-        raise ValueError(f"run_group requires one batch key, got {sorted(keys)}")
+        raise ValueError(f"run_group_rows requires one batch key, got {sorted(keys)}")
     topology, m, q = requests[0].batch_key
     rows = run_rows(
         topology,
@@ -112,17 +105,6 @@ def run_group_rows(
     return responses, rows.snapshots
 
 
-def run_group(requests: Sequence[MechanismRequest]) -> list[MechanismResponse]:
-    """Execute one compatible group and merge its counters in request
-    order into the live registry (the in-process composition of
-    :func:`run_group_rows`)."""
-    responses, row_snaps = run_group_rows(requests)
-    registry = get_registry()
-    for snap in row_snaps:
-        registry.merge(snap)
-    return responses
-
-
 def group_by_key(
     requests: Sequence[MechanismRequest],
 ) -> list[list[int]]:
@@ -131,24 +113,3 @@ def group_by_key(
     for i, request in enumerate(requests):
         groups.setdefault(request.batch_key, []).append(i)
     return list(groups.values())
-
-
-def run_coalesced(requests: Sequence[MechanismRequest]) -> list[MechanismResponse]:
-    """Group arbitrary requests by batch key, run, reassemble in order.
-
-    Counter deltas merge in *request* order across groups (not group
-    order), matching the fold a solo loop over ``requests`` performs.
-    """
-    responses: list[MechanismResponse | None] = [None] * len(requests)
-    snapshots: list[dict[str, Any] | None] = [None] * len(requests)
-    for indices in group_by_key(requests):
-        group = [requests[i] for i in indices]
-        group_responses, row_snaps = run_group_rows(group)
-        for i, response, snap in zip(indices, group_responses, row_snaps):
-            responses[i] = response
-            snapshots[i] = snap
-    registry = get_registry()
-    for snap in snapshots:
-        if snap is not None:
-            registry.merge(snap)
-    return [r for r in responses if r is not None]

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
-from repro.obs.metrics import collecting
+from repro.obs.metrics import collecting, get_registry
 from repro.serve.request import MechanismRequest, MechanismResponse
 
 __all__ = ["GroupResult", "WorkerPool", "execute_group"]
@@ -101,12 +102,24 @@ class WorkerPool:
     def submit(
         self, requests: Sequence[MechanismRequest]
     ) -> "asyncio.Future[GroupResult]":
-        """Hand one flush group to a worker; awaitable on the loop."""
+        """Hand one flush group to a worker; awaitable on the loop.
+
+        A worker that died breaks the whole executor.  The next submit
+        then replaces it (``serve.pool_restarts``) and resubmits once.
+        Groups already in flight on the dead executor fail, and are not
+        retried: a group that killed its worker would kill the
+        replacement too.
+        """
         if self._executor is None:
             raise RuntimeError("worker pool is closed")
-        return asyncio.get_running_loop().run_in_executor(
-            self._executor, execute_group, list(requests)
-        )
+        loop = asyncio.get_running_loop()
+        try:
+            return loop.run_in_executor(self._executor, execute_group, list(requests))
+        except BrokenProcessPool:
+            self._executor.shutdown(wait=False)
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            get_registry().inc("serve.pool_restarts")
+            return loop.run_in_executor(self._executor, execute_group, list(requests))
 
     def close(self) -> None:
         """Shut the workers down (idempotent; waits for running groups)."""

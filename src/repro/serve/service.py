@@ -76,6 +76,8 @@ class MechanismService:
         weights: Mapping[str, float] | None = None,
         workers: int = 0,
     ) -> None:
+        if workers < 0:
+            raise ValueError("workers must be non-negative (0 serves inline)")
         self.host = host
         self.port = port
         self.queue = AdmissionQueue(

@@ -142,7 +142,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--w", " "])
 
-    def test_serve_start_defaults_are_the_shipped_flush_policy(self):
+    def test_serve_start_defaults_are_the_default_flush_policy(self):
         from repro.serve.dispatcher import FlushPolicy
 
         args = build_parser().parse_args(["serve", "start"])

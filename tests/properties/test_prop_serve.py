@@ -33,7 +33,7 @@ from repro.obs.metrics import collecting
 from repro.serve.admission import AdmissionQueue
 from repro.serve.client import mixed_workload
 from repro.serve.dispatcher import Dispatcher, FlushPolicy
-from repro.serve.engine import run_coalesced, run_group, solo_summary
+from repro.serve.engine import run_group_rows, solo_summary
 from repro.serve.request import SUMMARY_FIELDS, MechanismRequest
 
 ALL_DEVIANT_KINDS = (
@@ -184,9 +184,11 @@ class TestOutOfOrderCompletion:
 
 
 class TestCoalescedEngine:
-    def test_run_coalesced_matches_solo_across_mixed_keys(self):
+    def test_one_flush_matches_solo_across_mixed_keys(self):
         requests = mixed_workload(16, seed=5, sizes=(3, 4, 6))
-        responses = run_coalesced(requests)
+        with collecting():
+            responses = _serve(requests, FlushPolicy())
+        assert len(responses) == len(requests)
         for request, response in zip(requests, responses):
             assert response.ok
             assert response.summary == solo_summary(request)
@@ -195,7 +197,7 @@ class TestCoalescedEngine:
         a = MechanismRequest(topology="chain", m=4, seed=0)
         b = MechanismRequest(topology="star", m=4, seed=1)
         with pytest.raises(ValueError, match="one batch key"):
-            run_group([a, b])
+            run_group_rows([a, b])
 
     def test_summary_fields_fixed_and_json_roundtrip_exact(self):
         # JSON float serialization is shortest-roundtrip exact, so going
@@ -215,12 +217,12 @@ class TestCoalescedEngine:
                 assert solo_summary(request, engine="lane") == solo_summary(request)
 
     def test_coalesced_counters_match_solo_loop(self):
-        # The engine merges per-row protocol-counter snapshots in request
-        # order; integer-valued mechanism.* totals must equal a solo
-        # lane loop over the same requests.
+        # The dispatcher merges per-row protocol-counter snapshots in
+        # request order; integer-valued mechanism.* totals must equal a
+        # solo lane loop over the same requests.
         requests = mixed_workload(12, seed=13, sizes=(3, 4))
         with collecting() as coalesced:
-            run_coalesced(requests)
+            _serve(requests, FlushPolicy())
         with collecting() as solo:
             for request in requests:
                 with collecting():
@@ -263,7 +265,7 @@ class TestTreeTopology:
         n_tree = sum(1 for r in requests if r.topology == "tree")
         assert n_tree > 0
         with collecting() as registry:
-            run_coalesced(requests)
+            _serve(requests, FlushPolicy())
         counters = registry.snapshot()["counters"]
         assert counters.get("mechanism.scalar_fallbacks", 0) == n_tree
 
@@ -276,7 +278,7 @@ class TestTreeTopology:
             12, seed=29, sizes=(3, 5), topologies=("chain", "star", "tree")
         )
         with collecting() as coalesced:
-            run_coalesced(requests)
+            _serve(requests, FlushPolicy())
         with collecting() as solo:
             for request in requests:
                 with collecting():

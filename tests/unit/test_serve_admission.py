@@ -193,6 +193,25 @@ class TestFairAdmission:
         with pytest.raises(ValueError, match="weights"):
             AdmissionQueue(capacity=4, weights={"a": 0.5})
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        # NaN never earns a deficit of 1, so the first get() would spin
+        # the ring forever; inf never spends its deficit, so that tenant
+        # would drain its whole backlog before any other.
+        with pytest.raises(ValueError, match="finite"):
+            AdmissionQueue(capacity=4, weights={"a": weight})
+
+    def test_cli_rejects_non_finite_weight(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.serve.service import MechanismService
+
+        async def never(_self):
+            raise AssertionError("the service must not start")
+
+        monkeypatch.setattr(MechanismService, "start", never)
+        assert main(["serve", "start", "--weight", "a=nan"]) == 2
+        assert "finite" in capsys.readouterr().out
+
     def test_idle_tenant_banks_no_deficit(self):
         # A tenant that drains and comes back later re-enters the ring
         # with a fresh deficit — history buys no burst.

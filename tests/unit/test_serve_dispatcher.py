@@ -170,6 +170,40 @@ class TestEnginePaced:
         asyncio.run(_run())
         assert answered_at_flush == [[], [0, 1, 2, 3]]
 
+    def test_each_flush_is_resolved_before_the_next_one_runs(self, monkeypatch):
+        # Inline mode runs groups in the merger, one flush at a time:
+        # when the engine is entered for flush N+1, every caller of
+        # flush N already holds its response, and no later caller does.
+        import repro.serve.dispatcher as dispatcher_mod
+
+        real_run_group_rows = dispatcher_mod.run_group_rows
+        futures = {}
+        entries: list[tuple[int, set[int]]] = []
+
+        def recording_run_group_rows(requests):
+            first = min(r.request_id for r in requests)
+            entries.append((first, {i for i, f in futures.items() if f.done()}))
+            return real_run_group_rows(requests)
+
+        monkeypatch.setattr(dispatcher_mod, "run_group_rows", recording_run_group_rows)
+
+        async def _run():
+            queue = AdmissionQueue(capacity=16)
+            dispatcher = Dispatcher(queue, FlushPolicy(max_batch=4))
+            for i in range(10):
+                # Two batch keys: every full flush runs two engine groups.
+                futures[i] = queue.submit(_request(i, m=3 + i % 2))
+            dispatcher.start()
+            await asyncio.gather(*futures.values())
+            queue.close()
+            await dispatcher.join()
+
+        asyncio.run(_run())
+        assert len(entries) == 6
+        for first, done in entries:
+            flush_start = first - first % 4
+            assert done == set(range(flush_start))
+
 
 class TestBatching:
     def test_max_batch_caps_flush_size(self):

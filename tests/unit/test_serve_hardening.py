@@ -37,6 +37,23 @@ def _rejected() -> float:
     return get_registry().counter("serve.rejected_malformed")
 
 
+class TestWorkerCount:
+    def test_negative_worker_count_rejected(self):
+        # Used to be served inline without a word.
+        with pytest.raises(ValueError, match="non-negative"):
+            MechanismService(workers=-2)
+
+    def test_cli_rejects_negative_worker_count(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        async def never(_self):
+            raise AssertionError("the service must not start")
+
+        monkeypatch.setattr(MechanismService, "start", never)
+        assert main(["serve", "start", "--workers", "-2"]) == 2
+        assert "non-negative" in capsys.readouterr().out
+
+
 class TestMalformedInput:
     def test_bad_json_nonobject_and_unknown_op_survive(self):
         async def _go(service):

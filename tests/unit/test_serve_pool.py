@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -187,3 +191,87 @@ class TestPooledBacklog:
             assert response.ok
             assert response.summary == solo_summary(request)
         assert registry.snapshot()["counters"]["serve.flushes"] == 3
+
+
+class _BrokenPool:
+    """A pool whose ``submit`` raises until the test mends it."""
+
+    workers = 1
+
+    def __init__(self) -> None:
+        self.broken = True
+
+    def submit(self, requests):
+        if self.broken:
+            raise RuntimeError("no worker left")
+        future = asyncio.get_running_loop().create_future()
+        future.set_result(execute_group(list(requests)))
+        return future
+
+
+class TestWorkerDeath:
+    def test_raising_submit_fails_its_group_and_the_dispatcher_lives(self):
+        # A submit that raises used to end the dispatcher task with its
+        # in-flight slot held, so every later request hung.  Now the
+        # group's callers get structured errors and serving continues.
+        pool = _BrokenPool()
+
+        async def _run():
+            queue = AdmissionQueue(capacity=16)
+            dispatcher = Dispatcher(queue, FlushPolicy(), pool=pool)
+            dispatcher.start()
+            failed = await asyncio.wait_for(
+                asyncio.gather(queue.submit(_request(0)), queue.submit(_request(1))), 5
+            )
+            pool.broken = False
+            served = await asyncio.wait_for(queue.submit(_request(2)), 5)
+            queue.close()
+            await dispatcher.join()
+            return failed, served
+
+        with collecting() as registry:
+            failed, served = asyncio.run(_run())
+        assert [r.ok for r in failed] == [False, False]
+        assert [r.request_id for r in failed] == [0, 1]
+        assert all("no worker left" in r.error for r in failed)
+        assert served.ok and served.summary == solo_summary(_request(2))
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.errors"] == 2
+        assert counters["serve.requests"] == 3
+
+    def test_killed_worker_is_replaced_and_later_requests_are_served(self):
+        async def _run():
+            queue = AdmissionQueue(capacity=16)
+            before = {p.pid for p in multiprocessing.active_children()}
+            pool = WorkerPool(1)
+            try:
+                pool.warm()
+                workers = [
+                    p for p in multiprocessing.active_children() if p.pid not in before
+                ]
+                dispatcher = Dispatcher(queue, FlushPolicy(), pool=pool)
+                dispatcher.start()
+                first = await asyncio.wait_for(queue.submit(_request(0)), 30)
+                for process in workers:
+                    os.kill(process.pid, signal.SIGKILL)
+                # Let the executor notice the death before the next submit
+                # (a group submitted in that window fails, by design).
+                deadline = time.monotonic() + 10
+                while not pool._executor._broken and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                later = [
+                    await asyncio.wait_for(queue.submit(_request(i)), 10)
+                    for i in range(1, 4)
+                ]
+                queue.close()
+                await dispatcher.join()
+                return first, later
+            finally:
+                pool.close()
+
+        with collecting() as registry:
+            first, later = asyncio.run(_run())
+        for response in [first, *later]:
+            assert response.ok, response.error
+            assert response.summary == solo_summary(_request(response.request_id))
+        assert registry.snapshot()["counters"]["serve.pool_restarts"] == 1
