@@ -9,13 +9,14 @@ this module runs every row of a ``(runs, n)`` rate matrix through bid
 collection, the stacked Algorithm-1 solve, verification/metering
 comparisons, and Phase IV settlement at once.
 
-**Bitwise contract.**  For protocol-compliant populations (truthful,
-misbidding, slow-executing, and overcharging agents — anything that
-never triggers a grievance or an abort) every produced quantity —
-allocations, payments, fines, audit outcomes, utilities, ledger
-aggregates, protocol counters — is bitwise-identical to running the
-scalar mechanism row by row.  That requires transcribing the scalar
-arithmetic *verbatim*, not just equivalently:
+**Bitwise contract.**  For populations of truthful, misbidding,
+slow-executing, overcharging, load-shedding and falsely accusing agents
+(anything that neither aborts nor fails a Phase II identity check, with
+at most one Phase III grievance per run) every produced quantity —
+allocations, payments, fines, grievance verdicts, audit outcomes,
+utilities, ledger aggregates, protocol counters — is bitwise-identical
+to running the scalar mechanism row by row.  That requires transcribing
+the scalar arithmetic *verbatim*, not just equivalently:
 
 - the mechanism's interior ``alpha_hat`` is the division
   ``w_bar[i] / bids[i]`` (dls_lbl Phase I), which differs in the last
@@ -26,8 +27,16 @@ arithmetic *verbatim*, not just equivalently:
   backward pass;
 - the star normalization is a per-row ``math.fsum``, not ``ndarray.sum``
   (dlt.star._alpha_for_order);
+- a shedder retains ``(1 - f) * min(assigned, honest)``, the
+  :class:`~repro.agents.strategies.LoadSheddingAgent` expression;
+- grievance verdicts repeat the court's arithmetic rather than assume
+  an outcome: the filing predicate
+  :func:`~repro.protocol.grievance.provable_overload`, the Λ
+  certificate's block count, ``OVERLOAD_TOL`` and the victim's metered
+  rate for the surcharge;
 - ledger aggregates replay the entry-order float accumulation of
-  :class:`~repro.mechanism.ledger.PaymentLedger`.
+  :class:`~repro.mechanism.ledger.PaymentLedger`, Phase III grievance
+  and meter fines first.
 
 Audit randomness comes in as a pre-shaped ``(runs, n)`` draw block —
 ``Generator.random((runs, n))`` consumes the PCG64 stream exactly like
@@ -35,11 +44,10 @@ Audit randomness comes in as a pre-shaped ``(runs, n)`` draw block —
 same stream the scalar loop would have used.
 
 **Masked deviant lanes.**  Behaviours the stacked arrays cannot express
-(load-shedding, contradictory bids, relay tampering, fabricated
-accusations, proof forgery — anything that triggers a grievance, an
-abort, or a failed audit proof, plus any traced run) execute on the
-*lane engine*: :class:`LaneChainMechanism` / :class:`LaneStarMechanism`
-subclass the scalar mechanisms and swap only their infrastructure seams
+(contradictory bids, the chain's miscomputed and relay-tampered Phase II
+values, proof forgery — anything that aborts, fails a Phase II check or
+a proof, plus any traced run) execute on the *lane engine*:
+:class:`LaneChainMechanism` / :class:`LaneStarMechanism` subclass the scalar mechanisms and swap only their infrastructure seams
 — HMAC signing becomes the fingerprint stand-in :class:`_PlainSigned`,
 the tamper-proof meter a plain recorder, and the event-heap Phase III
 simulator a closed-form chain replay.  Every protocol branch (grievance
@@ -50,12 +58,13 @@ the crypto that dominates scalar runtime.
 :func:`repro.mechanism.rows.run_rows` routes a mixed population:
 conforming lanes ride the stacked arrays, divergent lanes take the lane
 engine, and results zip back in lane order.  There is no scalar
-fallback; :func:`run_chain_batch` still raises
-:class:`~repro.exceptions.ProtocolViolation` if a caller feeds it an
-overloading row directly, as an internal-invariant guard.
+fallback; :func:`run_chain_batch` raises
+:class:`~repro.exceptions.ProtocolViolation` if a caller feeds it a row
+that files more than one grievance, as an internal-invariant guard.
 
 Metrics: the engine emits the same protocol counters as the scalar runs
-(``mechanism.runs``/``star_runs``, ``mechanism.audits``,
+(``mechanism.runs``/``star_runs``, ``mechanism.grievances``,
+``grievances_substantiated``, ``mechanism.audits``,
 ``audits_challenged``, ``fines``, ``fine_volume``, ``ledger.transfers``,
 ``ledger.volume``) with bitwise-identical totals.  Implementation-cost
 metrics (``crypto.*`` counters) have no batched analogue; batch solves
@@ -80,6 +89,8 @@ from repro.mechanism.star_mechanism import StarMechanism
 from repro.network.topology import LinearNetwork
 from repro.obs.metrics import get_registry
 from repro.obs.perf import span as perf_span
+from repro.protocol.grievance import LOAD_TOL, OVERLOAD_TOL
+from repro.protocol.lambda_device import DEFAULT_BLOCKS_PER_UNIT
 from repro.protocol.meter import MeterReading, TamperProofMeter
 from repro.sim.linear_sim import LinearChainResult
 from repro.sim.trace import GanttTrace, Interval
@@ -99,15 +110,12 @@ __all__ = [
 #: are neither transmitted nor computed).
 _EPS_LOAD = 1e-12
 
-#: Mirror of :data:`repro.mechanism.dls_lbl._LOAD_TOL` (overload slack).
-_LOAD_TOL = 1e-7
-
 #: Mirror of :data:`repro.mechanism.star_mechanism._WORK_TOL`.
 _WORK_TOL = 1e-9
 
 
-def _as_matrix(name: str, value, shape: tuple[int, int]) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+def _as_matrix(name: str, value, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
     if arr.shape != shape:
         raise InvalidNetworkError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
@@ -147,32 +155,75 @@ def _challenges(audit_draws, q: float, shape: tuple[int, int]) -> np.ndarray:
     return draws < q
 
 
+@dataclass(frozen=True)
+class _Transfer:
+    """One Phase III ledger entry for each run in ``rows``, entered ahead
+    of the root reimbursement: ``party`` (a processor index, 0 = the
+    root) pays ``amount`` to the mechanism (``to_mechanism``; the
+    ``counted`` runs also count it in ``mechanism.fines``), or the
+    mechanism pays it to ``party``."""
+
+    rows: np.ndarray
+    party: np.ndarray
+    amount: np.ndarray
+    to_mechanism: bool
+    counted: np.ndarray | None = None
+
+
 def _ledger_mirrors(
-    root_pay: np.ndarray, billed: np.ndarray, audit_fines: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    root_pay: np.ndarray,
+    billed: np.ndarray,
+    audit_fines: np.ndarray,
+    phase3: tuple[_Transfer, ...] = (),
+) -> dict[str, np.ndarray]:
     """Replay the per-run ledger arithmetic of the scalar mechanisms.
 
-    Entry order per run is: root reimbursement, then for each agent its
-    Phase IV bill followed by its audit fine (if any).  Every aggregate
-    accumulates in exactly that order so the floats match the scalar
+    Entry order per run is: the ``phase3`` transfers (grievance fines
+    and rewards, meter-detected abandonment fines) in order, the root
+    reimbursement, then for each agent its Phase IV bill followed by its
+    audit fine (if any).  Every aggregate accumulates in exactly that
+    order so the floats match the scalar
     :class:`~repro.mechanism.ledger.PaymentLedger` bitwise (``a - b`` is
     IEEE-identical to ``a + (-b)``, which covers the negative-bill
     direction flip).  The one column fold also yields each run's
     ``ledger.volume`` and ``mechanism.fine_volume`` counter deltas.
 
-    Returns ``(balances, fines_total, mechanism_outlay, volume,
-    fine_volume)``, all per run.
+    Returns the outcome fields ``balances``, ``fines_total``,
+    ``mechanism_outlay``, ``volume``, ``fine_volume``, ``fine_entries``
+    (``mechanism.fines`` per run) and ``transfers`` (``ledger.transfers``
+    per run).
     """
     n_agents = billed.shape[1]
     # The scalar ledger's entry amount: the bill, or -bill when the
     # direction flips (a -0.0 bill stays -0.0, unlike np.abs).
     abs_bill = np.where(billed >= 0.0, billed, -billed)
-    balances = 0.0 + billed
-    balances = np.where(audit_fines > 0.0, balances - audit_fines, balances)
-    volume = root_pay.copy()
+    fine_entries = np.count_nonzero(audit_fines > 0.0, axis=1)
+    transfers = 1 + n_agents + fine_entries
+    opening = np.zeros(billed.shape) if phase3 else 0.0
+    volume = np.zeros_like(root_pay)
     fine_volume = np.zeros_like(root_pay)
     fines_total = np.zeros_like(root_pay)
-    outlay_balance = 0.0 - root_pay
+    outlay_balance = np.zeros_like(root_pay)
+    for entry in phase3:
+        rows, amount = entry.rows, entry.amount
+        agent = entry.party > 0  # the root has no agent column
+        cells = (rows[agent], entry.party[agent] - 1)
+        volume[rows] = volume[rows] + amount
+        transfers[rows] += 1
+        if entry.to_mechanism:
+            fines_total[rows] = fines_total[rows] + amount
+            outlay_balance[rows] = outlay_balance[rows] + amount
+            opening[cells] = opening[cells] - amount[agent]
+            counted = entry.counted
+            fine_volume[rows[counted]] = fine_volume[rows[counted]] + amount[counted]
+            fine_entries[rows[counted]] += 1
+        else:
+            outlay_balance[rows] = outlay_balance[rows] - amount
+            opening[cells] = opening[cells] + amount[agent]
+    balances = opening + billed
+    balances = np.where(audit_fines > 0.0, balances - audit_fines, balances)
+    volume = volume + root_pay
+    outlay_balance = outlay_balance - root_pay
     for i in range(n_agents):
         bill = billed[:, i]
         volume = volume + abs_bill[:, i]
@@ -184,7 +235,95 @@ def _ledger_mirrors(
         fine_volume = np.where(fined, fine_volume + f, fine_volume)
         fines_total = np.where(fined, fines_total + f, fines_total)
         outlay_balance = np.where(fined, outlay_balance + f, outlay_balance)
-    return balances, fines_total, -outlay_balance, volume, fine_volume
+    return {
+        "balances": balances,
+        "fines_total": fines_total,
+        "mechanism_outlay": -outlay_balance,
+        "volume": volume,
+        "fine_volume": fine_volume,
+        "fine_entries": fine_entries,
+        "transfers": transfers,
+    }
+
+
+def _quantize(amount: np.ndarray) -> np.ndarray:
+    """:meth:`~repro.protocol.lambda_device.LambdaDevice.quantize` over an
+    array (``np.round`` rounds half to even, as ``round`` does)."""
+    return np.round(amount * DEFAULT_BLOCKS_PER_UNIT) / DEFAULT_BLOCKS_PER_UNIT
+
+
+def _chain_grievances(
+    received_actual: np.ndarray,
+    expected: np.ndarray,
+    actual: np.ndarray,
+    fine: np.ndarray,
+    accuse: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, tuple[_Transfer, ...]]:
+    """The chain's Phase III grievances, decided as the scalar court
+    decides them.
+
+    ``received_actual`` / ``expected`` / ``actual`` are the agents'
+    ``(N, m)`` received loads, assignments and metered rates.  Agent ``i``
+    files an overload grievance against ``i - 1`` exactly when
+    :func:`~repro.protocol.grievance.provable_overload` holds, and an
+    ``accuse`` agent fabricates one exactly when it does not.  The court
+    substantiates a grievance when the Λ certificate (the received load
+    quantized to the block grid) exceeds the quantized assignment by
+    :data:`~repro.protocol.grievance.OVERLOAD_TOL`: the accused then
+    pays ``F`` plus the surcharge (certified excess times the victim's
+    metered rate) and the accuser collects ``F``; otherwise the accuser
+    pays ``F`` and the accused collects it (the root keeps a reward
+    addressed to it).  Certificates are read only for runs whose raw
+    excess clears :data:`~repro.protocol.grievance.LOAD_TOL` or that hold
+    an accuser.
+
+    Returns per run the grievance count and whether it was
+    substantiated, plus the ledger entries.
+
+    Raises
+    ------
+    ProtocolViolation
+        If a run files more than one grievance.
+    """
+    n_runs = received_actual.shape[0]
+    grievances = np.zeros(n_runs, dtype=np.int64)
+    substantiated = np.zeros(n_runs, dtype=bool)
+    over = received_actual > expected + LOAD_TOL
+    suspect = over.any(axis=1)
+    if accuse is not None:
+        suspect |= accuse.any(axis=1)
+    rows = np.flatnonzero(suspect)
+    if rows.size == 0:
+        return grievances, substantiated, ()
+
+    # The certificate re-rounds the quantized amount to a block count.
+    certified = np.round(_quantize(received_actual[rows]) * DEFAULT_BLOCKS_PER_UNIT)
+    certified = certified / DEFAULT_BLOCKS_PER_UNIT
+    assignment = _quantize(expected[rows])
+    proven = certified > assignment + OVERLOAD_TOL
+    filed = over[rows] & proven
+    if accuse is not None:
+        # An accuser files its provable overload, or else fabricates one.
+        filed = filed | accuse[rows]
+    count = filed.sum(axis=1)
+    if np.any(count > 1):
+        raise ProtocolViolation("batched runs hold at most one grievance per row")
+    keep = count == 1
+    rows = rows[keep]
+    col = filed[keep].argmax(axis=1)  # the accuser is agent col + 1
+    pick = (np.flatnonzero(keep), col)
+    ok = proven[pick]
+    surcharge = np.maximum(certified[pick] - assignment[pick], 0.0) * actual[rows, col]
+    amount = np.where(ok, fine[rows] + surcharge, fine[rows])
+    rewarded = np.where(ok, col + 1, col)
+    paid = rewarded != 0
+    grievances[rows] = 1
+    substantiated[rows] = ok
+    entries = (
+        _Transfer(rows, np.where(ok, col, col + 1), amount, True, counted=amount > 0.0),
+        _Transfer(rows[paid], rewarded[paid], fine[rows][paid], False),
+    )
+    return grievances, substantiated, entries
 
 
 def _fold(values: np.ndarray) -> float:
@@ -206,15 +345,21 @@ def _emit_counters(
     scalar population would never create stay absent)."""
     n_runs, m = outcome.audit_fines.shape
     registry.inc(runs_counter, n_runs)
+    n_grievances = int(outcome.grievances.sum())
+    if n_grievances:
+        registry.inc("mechanism.grievances", n_grievances)
+        n_substantiated = int(np.count_nonzero(outcome.substantiated))
+        if n_substantiated:
+            registry.inc("mechanism.grievances_substantiated", n_substantiated)
     registry.inc("mechanism.audits", n_runs * m)
     n_challenged = int(np.count_nonzero(outcome.challenged))
     if n_challenged:
         registry.inc("mechanism.audits_challenged", n_challenged)
-    n_fine_entries = int(np.count_nonzero(outcome.audit_fines > 0.0))
+    n_fine_entries = int(outcome.fine_entries.sum())
     if n_fine_entries:
         registry.inc("mechanism.fines", n_fine_entries)
         registry.inc("mechanism.fine_volume", _fold(outcome.fine_volume))
-    registry.inc("ledger.transfers", n_runs * (1 + m) + n_fine_entries)
+    registry.inc("ledger.transfers", int(outcome.transfers.sum()))
     registry.inc("ledger.volume", _fold(outcome.volume))
 
 
@@ -251,6 +396,10 @@ class BatchChainOutcome:
     mechanism_outlay: np.ndarray  # (N,)
     volume: np.ndarray          # (N,) per-run ledger.volume delta
     fine_volume: np.ndarray     # (N,) per-run mechanism.fine_volume delta
+    fine_entries: np.ndarray    # (N,) per-run mechanism.fines delta
+    transfers: np.ndarray       # (N,) per-run ledger.transfers delta
+    grievances: np.ndarray      # (N,) Phase III grievances filed (0 or 1)
+    substantiated: np.ndarray   # (N,) bool — the court upheld the grievance
 
     @property
     def n_runs(self) -> int:
@@ -291,6 +440,10 @@ class BatchStarOutcome:
     mechanism_outlay: np.ndarray  # (N,)
     volume: np.ndarray          # (N,)
     fine_volume: np.ndarray     # (N,)
+    fine_entries: np.ndarray    # (N,)
+    transfers: np.ndarray       # (N,)
+    grievances: np.ndarray      # (N,) always 0: the star files none
+    substantiated: np.ndarray   # (N,) always False
 
     @property
     def n_runs(self) -> int:
@@ -313,6 +466,8 @@ def run_chain_batch(
     bids: np.ndarray | None = None,
     execution_rates: np.ndarray | None = None,
     bill_overcharge: np.ndarray | None = None,
+    shed: np.ndarray | None = None,
+    accuse: np.ndarray | None = None,
     audit_probability: float = 0.25,
     total_load: float = 1.0,
     fine: float | np.ndarray | None = None,
@@ -338,6 +493,19 @@ def run_chain_batch(
     bill_overcharge:
         Additive Phase IV bill inflation per agent, shape ``(N, m)``;
         zero models a truthful biller.
+    shed:
+        Load-shedding (deviation (iii)), shape ``(N, m)``: the fraction of
+        its honest retention each agent gives up, so it retains
+        ``(1 - f) * min(assigned, honest)`` as
+        :class:`~repro.agents.strategies.LoadSheddingAgent` does.  NaN
+        marks an agent that does not shed (a shedder with ``f = 0``
+        still takes the ``min``, which can differ from honest retention
+        in the last ulp).  The successor's grievance is decided as the
+        scalar court decides it.
+    accuse:
+        False accusers (deviation (v)), boolean shape ``(N, m)``: the agent
+        files an overload grievance against its predecessor whenever it
+        holds no provable overload.
     audit_probability / total_load / fine:
         As in the scalar mechanism; ``fine=None`` applies the scalar
         default (:func:`~repro.mechanism.payments.recommended_fine` over
@@ -357,6 +525,8 @@ def run_chain_batch(
         If the stacked bids or links hold a non-finite or non-positive
         rate, or the shapes disagree (one check over the whole stack, in
         the stacked solve).
+    ProtocolViolation
+        If a row files more than one Phase III grievance.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 2:
@@ -407,6 +577,8 @@ def run_chain_batch(
             )
             actual = np.maximum(exec_arr, true_rates)
             rates_full = np.concatenate((w[:, :1], actual), axis=1)
+            shed_arr = None if shed is None else _as_matrix("shed", shed, (n_runs, m))
+            accuse_arr = None if accuse is None else _as_matrix("accuse", accuse, (n_runs, m), bool)
 
             retained = np.zeros_like(w_bar)
             received_actual = np.zeros_like(w_bar)
@@ -419,15 +591,16 @@ def run_chain_batch(
                 else:
                     expected_forward = received[:, i + 1] * load
                     choice = np.maximum(received_actual[:, i] - expected_forward, 0.0)
+                    if shed_arr is not None:
+                        f = shed_arr[:, i - 1]
+                        choice = np.where(
+                            np.isnan(f), choice, (1.0 - f) * np.minimum(assigned[:, i], choice)
+                        )
                     retained[:, i] = np.clip(choice, 0.0, received_actual[:, i])
 
-            # Batched metering comparison: any overload would trigger scalar
-            # grievance adjudication, which has no vectorized path.
-            if np.any(received_actual[:, 1:] > received[:, 1:] * load + _LOAD_TOL):
-                raise ProtocolViolation(
-                    "batched runs must be grievance-free: a row's actual flow "
-                    "exceeds its Phase II expectation"
-                )
+            grievances, substantiated, phase3 = _chain_grievances(
+                received_actual[:, 1:], received[:, 1:] * load, actual, fine_arr, accuse_arr
+            )
 
             computed = np.zeros_like(w_bar)
             arrival = np.zeros_like(w_bar)
@@ -494,11 +667,9 @@ def run_chain_batch(
             )
 
             root_pay = assigned[:, 0] * w[:, 0]
-            balances, fines_total, outlay, volume, fine_volume = _ledger_mirrors(
-                root_pay, billed, audit_fines
-            )
+            ledger = _ledger_mirrors(root_pay, billed, audit_fines, phase3)
             valuations = -computed[:, 1:] * actual
-            utilities = valuations + balances
+            utilities = valuations + ledger["balances"]
 
         outcome = BatchChainOutcome(
             bids=full_bids,
@@ -519,12 +690,10 @@ def run_chain_batch(
             challenged=challenged,
             audit_fines=audit_fines,
             valuations=valuations,
-            balances=balances,
             utilities=utilities,
-            fines_total=fines_total,
-            mechanism_outlay=outlay,
-            volume=volume,
-            fine_volume=fine_volume,
+            grievances=grievances,
+            substantiated=substantiated,
+            **ledger,
         )
         if emit_metrics:
             _emit_counters(get_registry(), outcome, "mechanism.runs")
@@ -558,6 +727,8 @@ def run_star_batch(
     bids: np.ndarray | None = None,
     execution_rates: np.ndarray | None = None,
     bill_overcharge: np.ndarray | None = None,
+    shed: np.ndarray | None = None,
+    accuse: np.ndarray | None = None,
     audit_probability: float = 0.25,
     total_load: float = 1.0,
     fine: float | np.ndarray | None = None,
@@ -568,11 +739,16 @@ def run_star_batch(
 
     Same contract and parameter layout as :func:`run_chain_batch` with
     ``n`` children per row.  The batchable behaviours are bids, slow
-    execution, and bill overcharges; every such row completes its full
-    assignment, so the meter's abandoned-work check is identically
-    satisfied and the audit recomputation (from the root's own records)
-    reproduces the provable payment exactly.  Invalid stacks raise
-    :class:`~repro.exceptions.InvalidNetworkError` as in the chain engine.
+    execution, bill overcharges and shedding.  A child has nobody to shed
+    onto, so a ``shed`` child computes ``(1 - f)`` of its assignment and
+    the meter itself detects the abandoned work: the child is fined
+    ``F`` ahead of the root reimbursement, and a child that computes
+    nothing is paid nothing.  The star mechanism never consults the
+    accusation hook, so ``accuse`` is accepted for a uniform call and
+    changes nothing.  The audit recomputation (from the root's own
+    records) reproduces the provable payment exactly.  Invalid stacks
+    raise :class:`~repro.exceptions.InvalidNetworkError` as in the chain
+    engine.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 2:
@@ -605,10 +781,24 @@ def run_star_batch(
         )
         actual = np.maximum(exec_arr, true_rates)
         rates_full = np.concatenate((w[:, :1], actual), axis=1)
-        # Batchable children complete their whole assignment: the scalar
-        # clip(max(assigned - 0, 0), 0, assigned) is the identity here,
-        # and the meter's abandoned-work comparison never fires.
+        # An honest child completes its whole assignment: the scalar
+        # clip(max(assigned - 0, 0), 0, assigned) is the identity here.
+        # A shedder keeps (1 - f) * min(assigned, assigned) of it, and
+        # the meter fines each abandonment in child order.
         computed = assigned.copy()
+        phase3: tuple[_Transfer, ...] = ()
+        if shed is not None:
+            f = _as_matrix("shed", shed, (n_runs, n))
+            own = assigned[:, 1:]
+            sheds = ~np.isnan(f)
+            computed[:, 1:] = np.where(sheds, np.clip((1.0 - f) * own, 0.0, own), own)
+            abandoned = computed[:, 1:] < own - _WORK_TOL
+            for c in range(n):
+                rows = np.flatnonzero(abandoned[:, c])
+                if rows.size:
+                    counted = np.ones(rows.size, dtype=bool)
+                    entry = _Transfer(rows, np.full(rows.size, c + 1), fine_arr[rows], True, counted)
+                    phase3 += (entry,)
 
         # Marginal-contribution bonus, one reduced solve per child:
         # T(w_{-i}) minus the bid-derived allocation re-timed at the
@@ -647,6 +837,9 @@ def run_star_batch(
         )
         bonus = t_without - t_eval
         correct_q = assigned[:, 1:] * actual + bonus
+        if shed is not None:
+            # A child that computed nothing is paid nothing.
+            correct_q = np.where(computed[:, 1:] <= 0.0, 0.0, correct_q)
         if bill_overcharge is None:
             billed = correct_q
         else:
@@ -668,11 +861,9 @@ def run_star_batch(
         makespan = np.maximum(t_root_actual, t_served_actual.max(axis=1)) * load
 
         root_pay = assigned[:, 0] * w[:, 0]
-        balances, fines_total, outlay, volume, fine_volume = _ledger_mirrors(
-            root_pay, billed, audit_fines
-        )
+        ledger = _ledger_mirrors(root_pay, billed, audit_fines, phase3)
         valuations = -computed[:, 1:] * actual
-        utilities = valuations + balances
+        utilities = valuations + ledger["balances"]
 
         outcome = BatchStarOutcome(
             bids=full_bids,
@@ -689,12 +880,10 @@ def run_star_batch(
             challenged=challenged,
             audit_fines=audit_fines,
             valuations=valuations,
-            balances=balances,
             utilities=utilities,
-            fines_total=fines_total,
-            mechanism_outlay=outlay,
-            volume=volume,
-            fine_volume=fine_volume,
+            grievances=np.zeros(n_runs, dtype=np.int64),
+            substantiated=np.zeros(n_runs, dtype=bool),
+            **ledger,
         )
         if emit_metrics:
             _emit_counters(get_registry(), outcome, "mechanism.star_runs")
@@ -838,10 +1027,11 @@ class LaneChainMechanism(DLSLBLMechanism):
     """A divergent batch lane on the chain: the full scalar protocol with
     the infrastructure seams swapped for batch-native stand-ins.
 
-    Covers everything the stacked arrays cannot express — grievances
-    (shedding, contradictory bids, relay tampering, false accusations),
-    aborts, proof forgery, and traced runs — with outcomes, counters and
-    trace bytes bitwise-equal to :class:`DLSLBLMechanism`."""
+    Runs every row the stacked arrays do not — contradictory bids,
+    Phase II identity failures (miscomputing, relay tampering), proof
+    forgery, fault-injected agents, and traced runs, grievances included
+    — with outcomes, counters and trace bytes bitwise-equal to
+    :class:`DLSLBLMechanism`."""
 
     def _make_crypto(self, key_seed: bytes | None) -> None:
         self._keys = None
@@ -882,8 +1072,8 @@ def chain_row_snapshots(outcome: BatchChainOutcome) -> list[dict[str, Any]]:
     the float accumulation order matches a scalar loop exactly.  That
     requires the stacked pass's counters at per-row granularity: each
     snapshot holds what one scalar run would have contributed, with the
-    same left-fold entry order (root reimbursement, then per agent its
-    bill and audit fine)."""
+    same left-fold entry order (the grievance fine and reward, root
+    reimbursement, then per agent its bill and audit fine)."""
     return _row_snapshots(outcome, "mechanism.runs")
 
 
@@ -892,8 +1082,9 @@ def star_row_snapshots(outcome: BatchStarOutcome) -> list[dict[str, Any]]:
 
     Same contract as :func:`chain_row_snapshots` with the star run
     counter (``mechanism.star_runs``); the scalar star's ledger entry
-    order for batchable rows is identical (root reimbursement, then per
-    child its bill and audit fine)."""
+    order for batchable rows is the same (meter-detected abandonment
+    fines, root reimbursement, then per child its bill and audit
+    fine)."""
     return _row_snapshots(outcome, "mechanism.star_runs")
 
 
@@ -901,20 +1092,27 @@ def _row_snapshots(
     outcome: BatchChainOutcome | BatchStarOutcome, runs_counter: str
 ) -> list[dict[str, Any]]:
     m = outcome.bids.shape[1] - 1
-    n_fines = np.count_nonzero(outcome.audit_fines > 0.0, axis=1).tolist()
+    grievances = outcome.grievances.tolist()
+    substantiated = outcome.substantiated.tolist()
     n_challenged = np.count_nonzero(outcome.challenged, axis=1).tolist()
-    # The per-row volumes are the engine's one ledger fold.
+    # The per-row counts and volumes are the engine's one ledger fold.
+    n_fines = outcome.fine_entries.tolist()
+    transfers = outcome.transfers.tolist()
     fine_volume = outcome.fine_volume.tolist()
     volume = outcome.volume.tolist()
     snapshots: list[dict[str, Any]] = []
     for k in range(len(volume)):
         counters: dict[str, float] = {runs_counter: 1.0, "mechanism.audits": float(m)}
+        if grievances[k]:
+            counters["mechanism.grievances"] = float(grievances[k])
+            if substantiated[k]:
+                counters["mechanism.grievances_substantiated"] = 1.0
         if n_challenged[k]:
             counters["mechanism.audits_challenged"] = float(n_challenged[k])
         if n_fines[k]:
             counters["mechanism.fines"] = float(n_fines[k])
             counters["mechanism.fine_volume"] = fine_volume[k]
-        counters["ledger.transfers"] = float(1 + m + n_fines[k])
+        counters["ledger.transfers"] = float(transfers[k])
         counters["ledger.volume"] = volume[k]
         snapshots.append({"counters": counters})
     return snapshots

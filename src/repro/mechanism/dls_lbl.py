@@ -42,7 +42,7 @@ from repro.mechanism.audit import AuditRecord, Auditor, recompute_payment_from_p
 from repro.mechanism.ledger import PaymentLedger
 from repro.mechanism.payments import payment_breakdown, recommended_fine
 from repro.network.topology import LinearNetwork
-from repro.protocol.grievance import Adjudication, GrievanceCourt
+from repro.protocol.grievance import Adjudication, GrievanceCourt, provable_overload
 from repro.protocol.lambda_device import LambdaDevice, LoadCertificate
 from repro.protocol.messages import (
     GMessage,
@@ -57,9 +57,6 @@ from repro.protocol.verification import verify_g_message
 from repro.sim.linear_sim import LinearChainResult, simulate_linear_chain
 
 __all__ = ["AgentReport", "DLSLBLMechanism", "MechanismOutcome"]
-
-#: Load-comparison slack (block-quantization plus float noise).
-_LOAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -430,11 +427,14 @@ class DLSLBLMechanism:
             for i in range(1, m + 1):
                 meter_msgs[i] = meter.record(i, actual_rates[i], float(computed[i]))
 
-            # Overload grievances (honest victims report; Phase III grievances
-            # do not abort the run).
+            # Overload grievances (honest victims report a provable
+            # overload; Phase III grievances do not abort the run).
             for i in range(1, m + 1) if self.enforcement else ():
                 expected = received_share[i] * self.total_load
-                if received_actual[i] > expected + _LOAD_TOL and self.agents[i].reports_overload():
+                if (
+                    provable_overload(received_actual[i], expected, certificates[i], lambda_device)
+                    and self.agents[i].reports_overload()
+                ):
                     grievance = Grievance(
                         kind=GrievanceKind.OVERLOAD,
                         accuser=i,
@@ -446,11 +446,15 @@ class DLSLBLMechanism:
                     )
                     adjudications.append(self._settle(court.adjudicate(grievance), ledger))
 
-            # Fabricated accusations (deviation (v)).
+            # Fabricated accusations (deviation (v)): only where the
+            # accuser holds no provable overload.
             for i in range(1, m + 1) if self.enforcement else ():
                 agent = self.agents[i]
                 kind = agent.fabricates_accusation()
-                if kind is not None and received_actual[i] <= received_share[i] * self.total_load + _LOAD_TOL:
+                expected = received_share[i] * self.total_load
+                if kind is not None and not provable_overload(
+                    received_actual[i], expected, certificates[i], lambda_device
+                ):
                     grievance = Grievance(
                         kind=GrievanceKind.OVERLOAD,
                         accuser=i,
@@ -458,7 +462,7 @@ class DLSLBLMechanism:
                         g_message=g_messages[i],
                         certificate=certificates[i],
                         meter_reading=meter_msgs[i],
-                        expected_received=received_share[i] * self.total_load,
+                        expected_received=expected,
                     )
                     adjudications.append(self._settle(court.adjudicate(grievance), ledger))
 

@@ -49,7 +49,7 @@ from repro.network.topology import StarNetwork
 from repro.obs.metrics import get_registry
 from repro.obs.perf import span as perf_span
 from repro.obs.tracer import Tracer
-from repro.protocol.grievance import Adjudication, GrievanceCourt
+from repro.protocol.grievance import Adjudication, GrievanceCourt, provable_overload
 from repro.protocol.lambda_device import LambdaDevice, LoadCertificate
 from repro.protocol.messages import (
     GMessage,
@@ -64,8 +64,6 @@ from repro.protocol.verification import verify_g_message
 from repro.sim.interior_sim import InteriorChainResult, simulate_interior_chain
 
 __all__ = ["DLSLILMechanism", "InteriorOutcome", "verify_split"]
-
-_LOAD_TOL = 1e-7
 
 
 @dataclass
@@ -484,7 +482,10 @@ class DLSLILMechanism:
             for local in range(arm.size):
                 pos = int(arm.chain[local])
                 expected = received_share[pos] * self.total_load
-                if received_actual[pos] > expected + _LOAD_TOL and self.agents[pos].reports_overload():
+                if (
+                    provable_overload(received_actual[pos], expected, certificates[pos], lambda_device)
+                    and self.agents[pos].reports_overload()
+                ):
                     sender = r if local == 0 else int(arm.chain[local - 1])
                     attestor = sender if local == 0 else (r if local == 1 else int(arm.chain[local - 2]))
                     z_link = arm.root_link if local == 0 else float(arm.inner_links[local - 1])
@@ -509,7 +510,9 @@ class DLSLILMechanism:
                 agent = self.agents[pos]
                 kind = agent.fabricates_accusation()
                 expected = received_share[pos] * self.total_load
-                if kind is not None and received_actual[pos] <= expected + _LOAD_TOL:
+                if kind is not None and not provable_overload(
+                    received_actual[pos], expected, certificates[pos], lambda_device
+                ):
                     sender = r if local == 0 else int(arm.chain[local - 1])
                     attestor = sender if local == 0 else (r if local == 1 else int(arm.chain[local - 2]))
                     z_link = arm.root_link if local == 0 else float(arm.inner_links[local - 1])

@@ -66,10 +66,16 @@ __all__ = [
     "solo_row",
 ]
 
-#: Deviant kinds the stacked arrays express (bid/rate/bill columns).
-#: Everything else — grievance-triggering deviants, aborts, proof
-#: tampering, and any traced run — executes on the lane engine.
-ARRAY_KINDS = frozenset({"overcharge", "misbid", "slow"})
+#: Deviant kinds the stacked arrays express, per topology: the bid, rate
+#: and bill columns, plus the ``shed`` and ``accuse`` verdict columns.
+#: The star never calls the Phase I/II computation hooks, so its
+#: ``miscompute``/``tamper`` rows are truthful rows.  Everything else —
+#: contradictory bids (aborts), the chain's Phase II identity failures,
+#: and any traced run — executes on the lane engine.
+ARRAY_KINDS = {
+    "chain": frozenset({"overcharge", "misbid", "slow", "shed", "accuse"}),
+    "star": frozenset({"overcharge", "misbid", "slow", "shed", "accuse", "miscompute", "tamper"}),
+}
 
 
 def array_expressible(topology: str, deviant: str | None) -> bool:
@@ -79,7 +85,8 @@ def array_expressible(topology: str, deviant: str | None) -> bool:
     if deviant is None:
         return True
     parts = deviant.split(":")
-    return len(parts) >= 2 and parts[1] in ARRAY_KINDS
+    kinds = ARRAY_KINDS["star" if topology == "star" else "chain"]
+    return len(parts) >= 2 and parts[1] in kinds
 
 
 def draw_network(topology: str, m: int, rng: np.random.Generator):
@@ -284,13 +291,14 @@ def _array_rows(
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
     """One stacked batch-engine call over array-expressible rows; the
     engine validates the drawn stack once."""
+    from repro.agents.strategies import LoadSheddingAgent
     from repro.mechanism import batch_run
     from repro.mechanism.population import make_deviant
 
     n = len(seeds)
     w, z, draws = _draw_stack(m, seeds)
 
-    bids = execution_rates = bill_overcharge = None
+    bids = execution_rates = bill_overcharge = shed = accuse = None
     if any(spec is not None for spec in deviants):
         bids = w[:, 1:].copy()
         execution_rates = w[:, 1:].copy()
@@ -304,6 +312,14 @@ def _array_rows(
             execution_rates[k, col] = agent.choose_execution_rate()
             # The bill inflation is the agent's markup over a zero base.
             bill_overcharge[k, col] = agent.phase4_bill(0.0)
+            if isinstance(agent, LoadSheddingAgent):
+                if shed is None:
+                    shed = np.full((n, m), np.nan)  # NaN: does not shed
+                shed[k, col] = agent.shed_fraction
+            if agent.fabricates_accusation() is not None:
+                if accuse is None:
+                    accuse = np.zeros((n, m), dtype=bool)
+                accuse[k, col] = True
 
     star = topology == "star"
     run_batch = batch_run.run_star_batch if star else batch_run.run_chain_batch
@@ -313,6 +329,8 @@ def _array_rows(
         bids=bids,
         execution_rates=execution_rates,
         bill_overcharge=bill_overcharge,
+        shed=shed,
+        accuse=accuse,
         audit_probability=audit_probability,
         audit_draws=draws,
         # Counters are per row, folded by the caller in row order.
@@ -322,13 +340,14 @@ def _array_rows(
     makespan = outcome.makespan.tolist()
     fines = outcome.fines_total.tolist()
     outlay = outcome.mechanism_outlay.tolist()
+    grievances = outcome.grievances.tolist()
     fields = [
         {
             "completed": True,
             "aborted_phase": None,
             "makespan": makespan[k],
             "fines_total": fines[k],
-            "n_grievances": 0,
+            "n_grievances": grievances[k],
             "n_audits": m,
             "mechanism_outlay": outlay[k],
         }

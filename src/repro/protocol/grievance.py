@@ -21,7 +21,7 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signing import SignedMessage
 from repro.exceptions import ProtocolViolation
 from repro.obs.metrics import get_registry
-from repro.protocol.lambda_device import LambdaDevice
+from repro.protocol.lambda_device import LambdaDevice, LoadCertificate
 from repro.protocol.messages import Grievance, GrievanceKind
 from repro.protocol.meter import TamperProofMeter
 from repro.protocol.verification import verify_g_message
@@ -36,10 +36,41 @@ __all__ = [
     "adjudicate_forgery",
     "adjudicate_liveness",
     "apply_adjudication",
+    "certifies_overload",
+    "provable_overload",
 ]
 
 #: Slack when comparing certified received load against the assignment.
 OVERLOAD_TOL = 1e-9
+
+#: Raw-load slack before a processor files an overload grievance (float
+#: noise in the flow arithmetic).
+LOAD_TOL = 1e-7
+
+
+def certifies_overload(certified: float, expected_raw: float, lambda_device: LambdaDevice) -> bool:
+    """The court's overload test: ``certified`` load exceeds the
+    assignment ``expected_raw`` quantized to the Λ block grid."""
+    return certified > lambda_device.quantize(expected_raw) + OVERLOAD_TOL
+
+
+def provable_overload(
+    received: float,
+    expected: float,
+    certificate: LoadCertificate,
+    lambda_device: LambdaDevice,
+) -> bool:
+    """Whether a processor that received ``received`` load against an
+    ``expected`` assignment holds an overload the court substantiates:
+    the raw excess clears :data:`LOAD_TOL` *and* its Λ certificate
+    proves it (:func:`certifies_overload`).  An honest victim files
+    exactly then, and a false accuser fabricates exactly when it does
+    not, so no victim files a grievance the court must reject (a shed
+    its certificate cannot show on the block grid).  The certificate is
+    read only after the raw check passes."""
+    return received > expected + LOAD_TOL and certifies_overload(
+        certificate.amount, expected, lambda_device
+    )
 
 
 @dataclass(frozen=True)
@@ -365,7 +396,7 @@ class GrievanceCourt:
         if expected_raw is None:
             return False, "no signed D commitment from the accused in evidence"
         expected = self.lambda_device.quantize(expected_raw)
-        if cert.amount <= expected + OVERLOAD_TOL:
+        if not certifies_overload(cert.amount, expected_raw, self.lambda_device):
             return False, (
                 f"certified load {cert.amount} does not exceed assignment {expected}"
             )

@@ -134,6 +134,16 @@ class TestDeviationsInArms:
         assert verdict.fined == 1 and verdict.rewarded == 0
         assert outcome.utility(1) < baseline.utility(1)
 
+    @pytest.mark.parametrize("excess", [1.5e-7, 3e-7, 4.9e-7, 7e-7, 1.2e-6])
+    def test_sub_block_shed_never_fines_the_victim(self, baseline, excess):
+        # Only a certificate-provable overload is grieved: the honest
+        # victim is never fined for a shed under the block grid.
+        fraction = excess / baseline.assigned[4]
+        deviant = LoadSheddingAgent(4, W[4], shed_fraction=fraction)
+        outcome = run(make_agents({4: deviant}))
+        assert all(v.substantiated and v.fined == 4 for v in outcome.adjudications)
+        assert outcome.reports[5].fines == 0.0
+
     def test_contradictory_bid_aborts(self, baseline):
         deviant = ContradictoryBidAgent(3, W[3])
         outcome = run(make_agents({3: deviant}))

@@ -155,6 +155,26 @@ class TestLoadShedding:
         assert outcome.utility(2) < baseline.utility(2)
         assert honest_never_fined(outcome, 1, 2)
 
+    @pytest.mark.parametrize("excess", [1.5e-7, 3e-7, 4.9e-7, 7e-7, 1.2e-6])
+    def test_sub_block_shed_never_fines_the_victim(self, baseline, excess):
+        # A shed just above the raw tolerance: the victim grieves only
+        # when its Λ certificate proves the overload on the block grid,
+        # so every grievance is substantiated and no honest processor
+        # pays F for an overload the court cannot see.
+        fraction = excess / baseline.reports[2].assigned
+        outcome = run_with(LoadSheddingAgent(2, TRUE[1], shed_fraction=fraction))
+        assert all(v.substantiated and v.fined == 2 for v in outcome.adjudications)
+        assert honest_never_fined(outcome, 2)
+
+    def test_sub_block_shed_population_files_only_provable_overloads(self):
+        from repro.mechanism.population import run_population
+
+        result = run_population(2, 20, seed=7, deviant="1:shed:1e-6")
+        counters = result.metrics["counters"]
+        assert counters.get("mechanism.grievances", 0) == counters.get(
+            "mechanism.grievances_substantiated", 0
+        )
+
 
 class TestOvercharging:
     def test_caught_at_q1(self, baseline):
@@ -204,6 +224,16 @@ class TestFalseAccusation:
         substantiated = [v for v in outcome.adjudications if v.substantiated]
         assert len(substantiated) == 1
         assert substantiated[0].fined == 2
+
+    def test_accuses_when_the_overload_is_unprovable(self, baseline):
+        # Overloaded by less than the raw tolerance, the accuser holds no
+        # provable overload, so its grievance is a fabrication and fails.
+        fraction = 5e-8 / baseline.reports[2].assigned
+        shedder = LoadSheddingAgent(2, TRUE[1], shed_fraction=fraction)
+        outcome = run_with(shedder, extra=FalseAccuserAgent(3, TRUE[2]))
+        [verdict] = outcome.adjudications
+        assert not verdict.substantiated
+        assert verdict.fined == 3 and verdict.rewarded == 2
 
 
 class TestMalformedMessages:

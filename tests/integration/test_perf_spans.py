@@ -48,11 +48,11 @@ RUN_KINDS = {
         ["mech_batch", "mech_batch.phase_1.solve.batch_linear"],
     ),
     "lane_row": (
-        lambda: run_rows("chain", 3, 0.5, [1], ["2:shed"]),
+        lambda: run_rows("chain", 3, 0.5, [1], ["3:miscompute"]),
         ["mechanism", "mechanism.phase_4"],
     ),
     "star_rows": (
-        lambda: run_rows("star", 3, 0.5, [1, 2], [None, "2:shed"]),
+        lambda: run_rows("star", 3, 0.5, [1, 2], [None, "2:contradict"]),
         ["mech_batch_star", "mechanism_star"],
     ),
     "tree_row": (lambda: run_rows("tree", 3, 0.5, [1], [None]), ["mechanism_tree"]),

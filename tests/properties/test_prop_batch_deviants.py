@@ -11,7 +11,9 @@ protocol counters, and trace *bytes* (via
 :func:`repro.obs.tracer.first_divergence`, which names the first
 mismatching event on failure) — then sweep them across the full
 :data:`~repro.faults.FAULT_KINDS` catalog on chains and stars, the
-population deviant catalog, and the X8 coalition replay.
+population deviant catalog, and the X8 coalition replay.  The stacked
+engines' ``shed``/``accuse`` verdict columns are swept against the lane
+engine row by row (``assert_rows_equal_lane_runs``).
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FAULT_KINDS, FaultSpec, ScenarioSpec
 from repro.faults.runner import run_scenario
 from repro.faults.spec import TOPOLOGY_KINDS
 from repro.mechanism.population import _DEVIANT_KINDS, run_population
+from repro.mechanism.rows import _solo_delta, run_rows
 from repro.obs.metrics import collecting
 from repro.obs.tracer import events_to_jsonl, first_divergence
 
@@ -162,6 +167,95 @@ class TestPopulationDeviantLanes:
         assert serial.runs == pooled.runs
         assert protocol_counters(serial.metrics) == protocol_counters(pooled.metrics)
         assert_traces_byte_equal(serial.events, pooled.events)
+
+
+#: Shed fractions: none given up, a sub-block excess, half, everything.
+SHED_FRACTIONS = ("0", "1e-6", "0.5", "1.0")
+
+VERDICT_KINDS = tuple(f"shed:{f}" for f in SHED_FRACTIONS) + ("accuse",)
+
+
+def _specs(m, kinds):
+    """Row specs: a kind from ``kinds`` on agent ``1..m``, or truthful."""
+    spec = st.builds(
+        lambda index, kind: f"{index}:{kind}",
+        st.integers(min_value=1, max_value=m),
+        st.sampled_from(kinds),
+    )
+    return st.lists(st.one_of(st.none(), spec), min_size=1, max_size=8)
+
+
+def assert_rows_equal_lane_runs(topology, m, q, seeds, specs):
+    """``run_rows`` against the lane engine's solo run of every row:
+    outcome fields, per-row counter snapshots and the grievance counters
+    compared with ``==``.  Returns the rows."""
+    rows = run_rows(topology, m, q, seeds, specs)
+    for i, (seed, spec) in enumerate(zip(seeds, specs)):
+        fields, _events, snapshot = _solo_delta(topology, m, seed, q, spec, "lane", False)
+        assert rows.fields[i] == fields, (topology, m, q, seed, spec)
+        got, want = protocol_counters(rows.snapshots[i]), protocol_counters(snapshot)
+        assert got == want, (topology, m, q, seed, spec)
+        for key in ("mechanism.grievances", "mechanism.grievances_substantiated"):
+            assert got.get(key) == want.get(key)
+    return rows
+
+
+class TestArrayVerdictsDifferential:
+    """The stacked engines' ``shed``/``accuse`` verdict columns against
+    the lane engine, row by row: a terminal shed is a no-op, ``1:accuse``
+    accuses the root, a sub-block shed is grieved only when its Λ
+    certificate proves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topology=st.sampled_from(["chain", "star"]),
+        m=st.integers(min_value=1, max_value=8),
+        q=st.sampled_from([0.25, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_shed_and_accuse_rows_equal_lane_runs(self, topology, m, q, seed, data):
+        specs = data.draw(_specs(m, VERDICT_KINDS))
+        seeds = [seed + k for k in range(len(specs))]
+        rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+        assert rows.engines == ["array"] * len(specs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.sampled_from(["chain", "star"]),
+        m=st.integers(min_value=1, max_value=8),
+        q=st.sampled_from([0.25, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_mixed_stacks_of_all_kinds_equal_lane_runs(self, topology, m, q, seed, data):
+        specs = data.draw(_specs(m, _DEVIANT_KINDS + VERDICT_KINDS))
+        seeds = [seed + k for k in range(len(specs))]
+        assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+
+    @pytest.mark.parametrize("topology", ["chain", "star"])
+    def test_every_index_and_fraction(self, topology):
+        # Deterministic coverage: each agent of an m-4 and an m-8 chain
+        # sheds every fraction and accuses, at both audit probabilities.
+        for m in (4, 8):
+            specs = [f"{i}:{kind}" for i in range(1, m + 1) for kind in VERDICT_KINDS]
+            seeds = list(range(100 * m, 100 * m + len(specs)))
+            for q in (0.25, 1.0):
+                rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+                assert rows.engines == ["array"] * len(specs)
+
+    def test_chain_sweep_exercises_both_verdicts(self):
+        specs = [f"{i}:{kind}" for i in (1, 2, 3) for kind in VERDICT_KINDS] * 4
+        rows = run_rows("chain", 3, 0.25, list(range(len(specs))), specs)
+        verdicts = {
+            snapshot["counters"].get("mechanism.grievances_substantiated", 0.0)
+            for snapshot, fields in zip(rows.snapshots, rows.fields)
+            if fields["n_grievances"]
+        }
+        assert verdicts == {0.0, 1.0}
+        # A terminal shed is a no-op: no grievance.
+        terminal = [f for f, spec in zip(rows.fields, specs) if spec.startswith("3:shed")]
+        assert all(f["n_grievances"] == 0 for f in terminal)
 
 
 class TestScalarFallbackCounter:

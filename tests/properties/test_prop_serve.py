@@ -122,13 +122,12 @@ class TestBitwiseAcrossFlushPolicies:
         requests = _deviant_heavy_workload()
         responses = _serve(requests, FlushPolicy(max_batch=1000, max_wait_s=0.02))
         engines = {r.request_id: resp.served["engine"] for r, resp in zip(requests, responses)}
+        # The star never calls the Phase I/II computation hooks, so only
+        # its aborting kind needs the lane engine.
+        lane_kinds = {"chain": {"contradict", "miscompute", "tamper"}, "star": {"contradict"}}
         for request in requests:
-            expected = (
-                "array"
-                if request.deviant is None
-                or request.deviant.split(":")[1] in ("overcharge", "misbid", "slow")
-                else "lane"
-            )
+            kind = None if request.deviant is None else request.deviant.split(":")[1]
+            expected = "lane" if kind in lane_kinds[request.topology] else "array"
             assert engines[request.request_id] == expected
         assert any(e == "lane" for e in engines.values())
         assert any(e == "array" for e in engines.values())

@@ -9,7 +9,7 @@ mechanisms reject such networks, instead of returning a makespan.
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidNetworkError
+from repro.exceptions import InvalidNetworkError, ProtocolViolation
 from repro.mechanism.batch_run import run_chain_batch, run_star_batch
 
 ENGINES = [run_chain_batch, run_star_batch]
@@ -44,3 +44,28 @@ class TestStackValidation:
     def test_rows_without_agents_rejected(self, engine):
         with pytest.raises(InvalidNetworkError, match="m >= 1|n >= 1"):
             engine([[1.0]], np.empty((1, 0)))
+
+
+class TestGrievanceColumns:
+    W = [[1.0, 2.0, 3.0, 2.5]]
+    Z = [[0.5, 0.5, 0.5]]
+
+    def test_two_grievances_in_a_row_rejected(self):
+        # Two shedders: both victims grieve in the same run.
+        shed = [[0.5, 0.5, np.nan]]
+        with pytest.raises(ProtocolViolation, match="one grievance"):
+            run_chain_batch(self.W, self.Z, shed=shed)
+
+    def test_one_grievance_per_row_is_decided(self):
+        outcome = run_chain_batch(
+            self.W * 2,
+            self.Z * 2,
+            shed=[[np.nan, 0.5, np.nan], [np.nan] * 3],
+            accuse=[[False] * 3, [False, False, True]],
+        )
+        assert outcome.grievances.tolist() == [1, 1]
+        assert outcome.substantiated.tolist() == [True, False]
+
+    def test_accuse_shape_mismatch_rejected(self):
+        with pytest.raises(InvalidNetworkError, match="shape"):
+            run_chain_batch(self.W, self.Z, accuse=[[True, False]])
