@@ -168,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--batch", action="store_true",
         help="run the population through the batched Phase I-IV engine "
-        "(bitwise-equal results and trace bytes; deviant and traced "
-        "runs execute on its masked lane path — no scalar fallback)",
+        "(bitwise-equal results and trace bytes; untraced runs of every "
+        "deviant kind stay stacked, traced runs execute on its masked "
+        "lane path — no scalar fallback)",
     )
     run.add_argument("--trace", default=None, metavar="PATH", help="write the merged JSONL trace to PATH")
     run.add_argument(

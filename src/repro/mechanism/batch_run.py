@@ -10,13 +10,14 @@ collection, the stacked Algorithm-1 solve, verification/metering
 comparisons, and Phase IV settlement at once.
 
 **Bitwise contract.**  For populations of truthful, misbidding,
-slow-executing, overcharging, load-shedding and falsely accusing agents
-(anything that neither aborts nor fails a Phase II identity check, with
-at most one Phase III grievance per run) every produced quantity —
-allocations, payments, fines, grievance verdicts, audit outcomes,
-utilities, ledger aggregates, protocol counters — is bitwise-identical
-to running the scalar mechanism row by row.  That requires transcribing
-the scalar arithmetic *verbatim*, not just equivalently:
+slow-executing, overcharging, load-shedding, falsely accusing,
+miscomputing and relay-tampering agents (with at most one grievance per
+run) every produced quantity — allocations, payments, fines, grievance
+verdicts, Phase II aborts, audit outcomes, utilities, ledger
+aggregates, protocol counters — is bitwise-identical to running the
+scalar mechanism row by row; contradictory Phase I bids settle from the
+drawn rates alone (:func:`contradiction_aborts`).  That requires
+transcribing the scalar arithmetic *verbatim*, not just equivalently:
 
 - the mechanism's interior ``alpha_hat`` is the division
   ``w_bar[i] / bids[i]`` (dls_lbl Phase I), which differs in the last
@@ -27,6 +28,12 @@ the scalar arithmetic *verbatim*, not just equivalently:
   backward pass;
 - the star normalization is a per-row ``math.fsum``, not ``ndarray.sum``
   (dlt.star._alpha_for_order);
+- a miscomputed ``w_bar`` feeds the predecessors' recurrence and a
+  tampered ``D`` the rest of the cascade, and every run takes the
+  successors' Phase II checks on those same floats (the guard, the
+  ``alpha_hat`` reconstruction and eqs. 2.4/2.7 under ``CHECK_RTOL``):
+  a run fails exactly when the scalar run does, float cancellation
+  under extreme bids included;
 - a shedder retains ``(1 - f) * min(assigned, honest)``, the
   :class:`~repro.agents.strategies.LoadSheddingAgent` expression;
 - grievance verdicts repeat the court's arithmetic rather than assume
@@ -43,28 +50,30 @@ Audit randomness comes in as a pre-shaped ``(runs, n)`` draw block —
 ``runs * n`` sequential scalar draws, so callers can hand the engine the
 same stream the scalar loop would have used.
 
-**Masked deviant lanes.**  Behaviours the stacked arrays cannot express
-(contradictory bids, the chain's miscomputed and relay-tampered Phase II
-values, proof forgery — anything that aborts, fails a Phase II check or
-a proof, plus any traced run) execute on the *lane engine*:
-:class:`LaneChainMechanism` / :class:`LaneStarMechanism` subclass the scalar mechanisms and swap only their infrastructure seams
-— HMAC signing becomes the fingerprint stand-in :class:`_PlainSigned`,
-the tamper-proof meter a plain recorder, and the event-heap Phase III
-simulator a closed-form chain replay.  Every protocol branch (grievance
-adjudication, aborts, audit recomputation, settlement, tracing) is the
-inherited scalar code operating on identical values, so lane outcomes —
-including trace bytes — are bitwise-equal by construction while skipping
-the crypto that dominates scalar runtime.
-:func:`repro.mechanism.rows.run_rows` routes a mixed population:
-conforming lanes ride the stacked arrays, divergent lanes take the lane
-engine, and results zip back in lane order.  There is no scalar
-fallback; :func:`run_chain_batch` raises
-:class:`~repro.exceptions.ProtocolViolation` if a caller feeds it a row
-that files more than one grievance, as an internal-invariant guard.
+**Masked deviant lanes.**  Runs that need the scalar protocol's own
+code — traced runs (their events), fault-injected scenarios (proof
+forgery, meter tampering, crashes) and the X8 coalition replay —
+execute on the *lane engine*: :class:`LaneChainMechanism` /
+:class:`LaneStarMechanism` subclass the scalar mechanisms and swap only
+their infrastructure seams — HMAC signing becomes the fingerprint
+stand-in :class:`_PlainSigned`, the tamper-proof meter a plain
+recorder, and the event-heap Phase III simulator a closed-form chain
+replay.  Every protocol branch (grievance adjudication, aborts, audit
+recomputation, settlement, tracing) is the inherited scalar code
+operating on identical values, so lane outcomes — including trace
+bytes — are bitwise-equal by construction while skipping the crypto
+that dominates scalar runtime.  :func:`repro.mechanism.rows.run_rows`
+routes by one rule: traced rows take the lane engine, tree rows the
+scalar tree mechanism, and every other chain or star row — all eight
+deviant kinds — the stacked path.  There is no scalar fallback;
+:func:`run_chain_batch` raises :class:`~repro.exceptions.ProtocolViolation`
+if a caller feeds it a row that files more than one grievance, as an
+internal-invariant guard.
 
 Metrics: the engine emits the same protocol counters as the scalar runs
 (``mechanism.runs``/``star_runs``, ``mechanism.grievances``,
-``grievances_substantiated``, ``mechanism.audits``,
+``grievances_substantiated``, ``mechanism.aborts`` and
+``mechanism.aborts.phase_2``, ``mechanism.audits``,
 ``audits_challenged``, ``fines``, ``fine_volume``, ``ledger.transfers``,
 ``ledger.volume``) with bitwise-identical totals.  Implementation-cost
 metrics (``crypto.*`` counters) have no batched analogue; batch solves
@@ -92,6 +101,7 @@ from repro.obs.perf import span as perf_span
 from repro.protocol.grievance import LOAD_TOL, OVERLOAD_TOL
 from repro.protocol.lambda_device import DEFAULT_BLOCKS_PER_UNIT
 from repro.protocol.meter import MeterReading, TamperProofMeter
+from repro.protocol.verification import CHECK_RTOL
 from repro.sim.linear_sim import LinearChainResult
 from repro.sim.trace import GanttTrace, Interval
 
@@ -101,6 +111,7 @@ __all__ = [
     "LaneChainMechanism",
     "LaneStarMechanism",
     "chain_row_snapshots",
+    "contradiction_aborts",
     "run_chain_batch",
     "run_star_batch",
     "star_row_snapshots",
@@ -175,6 +186,7 @@ def _ledger_mirrors(
     billed: np.ndarray,
     audit_fines: np.ndarray,
     phase3: tuple[_Transfer, ...] = (),
+    aborted: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Replay the per-run ledger arithmetic of the scalar mechanisms.
 
@@ -187,6 +199,9 @@ def _ledger_mirrors(
     IEEE-identical to ``a + (-b)``, which covers the negative-bill
     direction flip).  The one column fold also yields each run's
     ``ledger.volume`` and ``mechanism.fine_volume`` counter deltas.
+    ``aborted`` runs never reach Phase IV: the caller zeroes their root
+    pay, bills and audit fines, and they count only their ``phase3``
+    entries as transfers.
 
     Returns the outcome fields ``balances``, ``fines_total``,
     ``mechanism_outlay``, ``volume``, ``fine_volume``, ``fine_entries``
@@ -199,6 +214,8 @@ def _ledger_mirrors(
     abs_bill = np.where(billed >= 0.0, billed, -billed)
     fine_entries = np.count_nonzero(audit_fines > 0.0, axis=1)
     transfers = 1 + n_agents + fine_entries
+    if aborted is not None:
+        transfers[aborted] = 0
     opening = np.zeros(billed.shape) if phase3 else 0.0
     volume = np.zeros_like(root_pay)
     fine_volume = np.zeros_like(root_pay)
@@ -258,9 +275,10 @@ def _chain_grievances(
     actual: np.ndarray,
     fine: np.ndarray,
     accuse: np.ndarray | None,
+    aborted: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, tuple[_Transfer, ...]]:
     """The chain's Phase III grievances, decided as the scalar court
-    decides them.
+    decides them (``aborted`` runs never reach Phase III and file none).
 
     ``received_actual`` / ``expected`` / ``actual`` are the agents'
     ``(N, m)`` received loads, assignments and metered rates.  Agent ``i``
@@ -292,7 +310,7 @@ def _chain_grievances(
     suspect = over.any(axis=1)
     if accuse is not None:
         suspect |= accuse.any(axis=1)
-    rows = np.flatnonzero(suspect)
+    rows = np.flatnonzero(suspect & ~aborted)
     if rows.size == 0:
         return grievances, substantiated, ()
 
@@ -326,6 +344,121 @@ def _chain_grievances(
     return grievances, substantiated, entries
 
 
+def _miscomputed_phase1(
+    bids: np.ndarray, z: np.ndarray, w_bar_factor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar Phase I loop for runs holding a miscomputing interior
+    agent: each agent folds its successor's *reported* ``w_bar`` into
+    ``hat * bid`` and reports that times its factor (NaN: honest), and
+    its local fraction is ``reported / bid``.  Returns ``(w_bar,
+    alpha_hat)`` with the root head computed from the reports, exactly
+    as :class:`~repro.mechanism.dls_lbl.DLSLBLMechanism` does."""
+    m = z.shape[1]
+    w_bar = np.empty_like(bids)
+    alpha_hat = np.empty_like(bids)
+    w_bar[:, m] = bids[:, m]
+    alpha_hat[:, m] = 1.0
+    for i in range(m - 1, 0, -1):
+        tail = w_bar[:, i + 1] + z[:, i]
+        honest = tail / (bids[:, i] + tail) * bids[:, i]
+        f = w_bar_factor[:, i - 1]
+        w_bar[:, i] = np.where(np.isnan(f), honest, honest * f)
+        alpha_hat[:, i] = w_bar[:, i] / bids[:, i]
+    tail = w_bar[:, 1] + z[:, 0]
+    alpha_hat[:, 0] = tail / (bids[:, 0] + tail)
+    w_bar[:, 0] = alpha_hat[:, 0] * bids[:, 0]
+    return w_bar, alpha_hat
+
+
+def _close(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+    """:func:`repro.protocol.verification._close` over arrays."""
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return np.abs(a - b) <= rtol * scale
+
+
+def _phase2_checks(
+    received: np.ndarray, w_bar: np.ndarray, bids: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Every recipient's :func:`~repro.protocol.verification.verify_g_message`
+    at once: ``(N, m)``, True where recipient ``j``'s check of ``G_j``
+    passes (column ``j - 1``).
+
+    ``G_j`` carries ``D_{j-1}``, ``D_j``, ``w_bar_{j-1}`` and ``w_{j-1}``
+    and echoes ``w_bar_j``; the checks are the scalar ones on the same
+    floats — the ``0 < D_j < D_{j-1} <= 1 + rtol`` guard,
+    ``alpha_hat_{j-1} = (D_{j-1} - D_j) / D_{j-1}``, then eqs. 2.4 and
+    2.7 under ``CHECK_RTOL``.  The echo check always passes here (no
+    stacked agent alters the echo), so it is not repeated.
+    """
+    d_prev, d_self = received[:, :-1], received[:, 1:]
+    w_prev = bids[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha_prev = (d_prev - d_self) / d_prev
+        lhs = alpha_prev * w_prev
+        rhs = (1.0 - alpha_prev) * (w_bar[:, 1:] + z)
+        ok = (0.0 < d_self) & (d_self < d_prev) & (d_prev <= 1.0 + CHECK_RTOL)
+        ok &= _close(w_bar[:, :-1], lhs, CHECK_RTOL) & _close(lhs, rhs, CHECK_RTOL)
+    return ok
+
+
+def contradiction_aborts(
+    w: np.ndarray, contradictor: np.ndarray, *, star: bool, total_load: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, list[dict[str, Any]]]:
+    """Deviation (i), contradictory Phase I bids, settled from the drawn
+    rates alone: no solve, no later phase.
+
+    ``w`` are the runs' ``(N, m+1)`` true rates and ``contradictor`` the
+    1-based agent signing two bids in each run.  The fine ``F`` is the
+    default fine over ``w``.  On the chain the predecessor submits both
+    bids: the court fines the contradictor ``F`` and rewards the
+    predecessor ``F`` (the root keeps a reward addressed to it), and the
+    run aborts in Phase I.  The star's root detects the contradiction
+    itself: one fine entry, no grievance, no abort counter — as
+    :class:`~repro.mechanism.star_mechanism.StarMechanism` does.
+
+    Returns per run the fine, the mechanism outlay and the counter
+    snapshot the scalar run would produce.
+    """
+    fine = _default_fine(w, total_load)
+    if star:
+        outlay = -fine
+        snapshots = [
+            {
+                "counters": {
+                    "mechanism.star_runs": 1.0,
+                    "ledger.transfers": 1.0,
+                    "ledger.volume": f,
+                    "mechanism.fines": 1.0,
+                    "mechanism.fine_volume": f,
+                }
+            }
+            for f in fine.tolist()
+        ]
+        return fine, outlay, snapshots
+    rewarded = contradictor > 1
+    # The mechanism's balance replays the ledger: F in, then F out to a
+    # rewarded predecessor (outlay -0.0, as the scalar ledger reports).
+    outlay = -np.where(rewarded, fine - fine, fine)
+    volume = np.where(rewarded, fine + fine, fine).tolist()
+    snapshots = [
+        {
+            "counters": {
+                "mechanism.runs": 1.0,
+                "mechanism.grievances": 1.0,
+                "mechanism.grievances_substantiated": 1.0,
+                "ledger.transfers": 2.0 if paid else 1.0,
+                "ledger.volume": v,
+                "mechanism.fines": 1.0,
+                "mechanism.fine_volume": f,
+                "mechanism.aborts": 1.0,
+                "mechanism.aborts.phase_1": 1.0,
+            }
+        }
+        for f, v, paid in zip(fine.tolist(), volume, rewarded.tolist())
+    ]
+    return fine, outlay, snapshots
+
+
 def _fold(values: np.ndarray) -> float:
     """Left fold in run order — how per-run counter deltas merge."""
     total = 0.0
@@ -351,7 +484,11 @@ def _emit_counters(
         n_substantiated = int(np.count_nonzero(outcome.substantiated))
         if n_substantiated:
             registry.inc("mechanism.grievances_substantiated", n_substantiated)
-    registry.inc("mechanism.audits", n_runs * m)
+    n_aborted = int(np.count_nonzero(outcome.aborted))
+    registry.inc("mechanism.audits", (n_runs - n_aborted) * m)
+    if n_aborted:
+        registry.inc("mechanism.aborts", n_aborted)
+        registry.inc("mechanism.aborts.phase_2", n_aborted)
     n_challenged = int(np.count_nonzero(outcome.challenged))
     if n_challenged:
         registry.inc("mechanism.audits_challenged", n_challenged)
@@ -398,8 +535,9 @@ class BatchChainOutcome:
     fine_volume: np.ndarray     # (N,) per-run mechanism.fine_volume delta
     fine_entries: np.ndarray    # (N,) per-run mechanism.fines delta
     transfers: np.ndarray       # (N,) per-run ledger.transfers delta
-    grievances: np.ndarray      # (N,) Phase III grievances filed (0 or 1)
+    grievances: np.ndarray      # (N,) Phase II/III grievances filed (0 or 1)
     substantiated: np.ndarray   # (N,) bool — the court upheld the grievance
+    aborted: np.ndarray         # (N,) bool — a G-message check failed (Phase II abort)
 
     @property
     def n_runs(self) -> int:
@@ -444,6 +582,7 @@ class BatchStarOutcome:
     transfers: np.ndarray       # (N,)
     grievances: np.ndarray      # (N,) always 0: the star files none
     substantiated: np.ndarray   # (N,) always False
+    aborted: np.ndarray         # (N,) always False: no stacked star run aborts
 
     @property
     def n_runs(self) -> int:
@@ -468,6 +607,8 @@ def run_chain_batch(
     bill_overcharge: np.ndarray | None = None,
     shed: np.ndarray | None = None,
     accuse: np.ndarray | None = None,
+    w_bar_factor: np.ndarray | None = None,
+    d_factor: np.ndarray | None = None,
     audit_probability: float = 0.25,
     total_load: float = 1.0,
     fine: float | np.ndarray | None = None,
@@ -475,6 +616,13 @@ def run_chain_batch(
     emit_metrics: bool = True,
 ) -> BatchChainOutcome:
     """Run Phases I–IV of DLS-LBL over ``N`` stacked chains at once.
+
+    Every run goes through the successors' Phase II checks (the stacked
+    :func:`~repro.protocol.verification.verify_g_message`).  A run whose
+    check fails at recipient ``j`` aborts in Phase II as the scalar run
+    does: ``j - 1`` is fined ``F``, ``j`` collects ``F``, and nothing
+    else reaches the ledger (no root reimbursement, bills or audits;
+    ``aborted`` is set and ``makespan`` is NaN).
 
     Parameters
     ----------
@@ -506,6 +654,17 @@ def run_chain_batch(
         False accusers (deviation (v)), boolean shape ``(N, m)``: the agent
         files an overload grievance against its predecessor whenever it
         holds no provable overload.
+    w_bar_factor:
+        Miscomputed equivalent bids (deviation (ii), Phase I), shape
+        ``(N, m)``: the agent reports its honest ``w_bar`` times the
+        factor, as :class:`~repro.agents.strategies.MiscomputingAgent`
+        does, and the report feeds the predecessors' recurrence.  A
+        terminal's report becomes its bid.  NaN marks an honest agent.
+    d_factor:
+        Relay tampering (deviation (ii), Phase II), shape ``(N, m)``: the
+        agent signs its honest ``D_{i+1}`` times the factor into
+        ``G_{i+1}``, as :class:`~repro.agents.strategies.RelayTamperingAgent`
+        does; the terminal relays nothing.  NaN marks an honest agent.
     audit_probability / total_load / fine:
         As in the scalar mechanism; ``fine=None`` applies the scalar
         default (:func:`~repro.mechanism.payments.recommended_fine` over
@@ -542,6 +701,14 @@ def run_chain_batch(
     true_rates = w[:, 1:]
     bid_arr = true_rates if bids is None else _as_matrix("bids", bids, (n_runs, m))
     full_bids = np.concatenate((w[:, :1], bid_arr), axis=1)
+    miscompute = (
+        None if w_bar_factor is None else _as_matrix("w_bar_factor", w_bar_factor, (n_runs, m))
+    )
+    if miscompute is not None:
+        # The terminal's equivalent bid IS its bid, so its miscomputed
+        # report is simply a different bid.
+        f = miscompute[:, m - 1]
+        full_bids[:, m] = np.where(np.isnan(f), full_bids[:, m], full_bids[:, m] * f)
 
     with perf_span("mech_batch"):
         # ---- Phase I: stacked Algorithm-1 solve + mechanism-faithful
@@ -556,15 +723,33 @@ def run_chain_batch(
             if m > 1:
                 alpha_hat[:, 1:m] = w_bar[:, 1:m] / full_bids[:, 1:m]
             alpha_hat[:, 0] = schedule.alpha_hat[:, 0]
+            if miscompute is not None:
+                # Runs with a miscomputing interior agent re-run the
+                # recurrence on the reports (in place: the schedule's
+                # w_eq is the reported w_bar Phase IV settles with).
+                rows = np.flatnonzero(~np.isnan(miscompute[:, : m - 1]).all(axis=1))
+                if rows.size:
+                    w_bar[rows], alpha_hat[rows] = _miscomputed_phase1(
+                        full_bids[rows], z[rows], miscompute[rows]
+                    )
 
         # ---- Phase II: the D_i cascade (sequential in the chain axis —
-        # each share multiplies the previous one, like the G messages).
+        # each share multiplies the previous one, like the G messages),
+        # then every recipient's G-message check.
         with perf_span("phase_2"):
+            tamper = None if d_factor is None else _as_matrix("d_factor", d_factor, (n_runs, m))
             received = np.empty_like(w_bar)
             received[:, 0] = 1.0
             received[:, 1] = 1.0 - alpha_hat[:, 0]
             for i in range(1, m):
-                received[:, i + 1] = received[:, i] * (1.0 - alpha_hat[:, i])
+                d_next = received[:, i] * (1.0 - alpha_hat[:, i])
+                if tamper is not None:
+                    f = tamper[:, i - 1]
+                    d_next = np.where(np.isnan(f), d_next, d_next * f)
+                received[:, i + 1] = d_next
+            checks = _phase2_checks(received, w_bar, full_bids, z)
+            any_aborted = not checks.all()
+            aborted = ~checks.all(axis=1) if any_aborted else np.zeros(n_runs, dtype=bool)
             assigned = received * alpha_hat * load
 
         # ---- Phase III: honest retention plan, then the event-driven
@@ -599,8 +784,21 @@ def run_chain_batch(
                     retained[:, i] = np.clip(choice, 0.0, received_actual[:, i])
 
             grievances, substantiated, phase3 = _chain_grievances(
-                received_actual[:, 1:], received[:, 1:] * load, actual, fine_arr, accuse_arr
+                received_actual[:, 1:], received[:, 1:] * load, actual, fine_arr, accuse_arr, aborted
             )
+            if any_aborted:
+                # The failed check's grievance, upheld on re-check: the
+                # sender (possibly the root) pays F, the recipient
+                # collects F, and these runs stop here.
+                rows = np.flatnonzero(aborted)
+                j = np.argmin(checks[rows], axis=1) + 1  # the first failing recipient
+                counted = fine_arr[rows] > 0.0
+                phase3 = (
+                    _Transfer(rows, j - 1, fine_arr[rows], True, counted=counted),
+                    _Transfer(rows, j, fine_arr[rows], False),
+                ) + phase3
+                grievances[rows] = 1
+                substantiated[rows] = True
 
             computed = np.zeros_like(w_bar)
             arrival = np.zeros_like(w_bar)
@@ -619,6 +817,10 @@ def run_chain_batch(
                     alive = sent
             ends = np.where(computed > 0.0, arrival + computed * rates_full, 0.0)
             makespan = ends.max(axis=1)
+            if any_aborted:
+                # An aborted run computes nothing and has no makespan.
+                computed[aborted] = 0.0
+                makespan[aborted] = np.nan
 
         # ---- Phase IV: provable payments from the mechanism's own
         # arrays, then the audit recomputation with the proof-side
@@ -660,14 +862,21 @@ def run_chain_batch(
             ).payment
 
             challenged = _challenges(audit_draws, q, (n_runs, m))
+            root_pay = assigned[:, 0] * w[:, 0]
+            if any_aborted:
+                # Aborted runs bill, audit and reimburse nothing.
+                live = ~aborted
+                billed = np.where(live[:, None], billed, 0.0)
+                challenged = challenged & live[:, None]
+                root_pay = np.where(live, root_pay, 0.0)
             audit_fines = np.where(
                 challenged & (billed > recomputed_q + BILL_TOL),
                 fine_arr[:, None] / q,
                 0.0,
             )
-
-            root_pay = assigned[:, 0] * w[:, 0]
-            ledger = _ledger_mirrors(root_pay, billed, audit_fines, phase3)
+            ledger = _ledger_mirrors(
+                root_pay, billed, audit_fines, phase3, aborted if any_aborted else None
+            )
             valuations = -computed[:, 1:] * actual
             utilities = valuations + ledger["balances"]
 
@@ -693,6 +902,7 @@ def run_chain_batch(
             utilities=utilities,
             grievances=grievances,
             substantiated=substantiated,
+            aborted=aborted,
             **ledger,
         )
         if emit_metrics:
@@ -883,6 +1093,7 @@ def run_star_batch(
             utilities=utilities,
             grievances=np.zeros(n_runs, dtype=np.int64),
             substantiated=np.zeros(n_runs, dtype=bool),
+            aborted=np.zeros(n_runs, dtype=bool),
             **ledger,
         )
         if emit_metrics:
@@ -896,11 +1107,11 @@ def run_star_batch(
 # The scalar mechanisms reach every piece of environment machinery — the
 # PKI, message signing, the tamper-proof meter, the Phase III simulator —
 # through overridable seams.  The lane engine subclasses swap those seams
-# for crypto-free stand-ins, so a lane whose agents shed load, contradict
-# themselves, tamper with proofs, or accuse falsely runs the *inherited*
-# protocol code (grievances, aborts, audits, settlement, tracing) on
-# identical values, bitwise-equal to the scalar run but without the HMAC
-# signing/verification and event-heap costs that dominate its runtime.
+# for crypto-free stand-ins, so a traced or fault-injected run executes
+# the *inherited* protocol code (grievances, aborts, audits, settlement,
+# tracing) on identical values, bitwise-equal to the scalar run but
+# without the HMAC signing/verification and event-heap costs that
+# dominate its runtime.
 # ---------------------------------------------------------------------------
 
 
@@ -1027,11 +1238,11 @@ class LaneChainMechanism(DLSLBLMechanism):
     """A divergent batch lane on the chain: the full scalar protocol with
     the infrastructure seams swapped for batch-native stand-ins.
 
-    Runs every row the stacked arrays do not — contradictory bids,
-    Phase II identity failures (miscomputing, relay tampering), proof
-    forgery, fault-injected agents, and traced runs, grievances included
-    — with outcomes, counters and trace bytes bitwise-equal to
-    :class:`DLSLBLMechanism`."""
+    Runs what needs the protocol's own code rather than the stacked
+    arrays — traced rows (any deviant kind), fault-injected scenarios
+    (proof forgery, meter tampering, crashes) and the X8 coalition
+    replay — with outcomes, counters and trace bytes bitwise-equal to
+    :class:`DLSLBLMechanism`.  Untraced rows never come here."""
 
     def _make_crypto(self, key_seed: bytes | None) -> None:
         self._keys = None
@@ -1073,7 +1284,9 @@ def chain_row_snapshots(outcome: BatchChainOutcome) -> list[dict[str, Any]]:
     requires the stacked pass's counters at per-row granularity: each
     snapshot holds what one scalar run would have contributed, with the
     same left-fold entry order (the grievance fine and reward, root
-    reimbursement, then per agent its bill and audit fine)."""
+    reimbursement, then per agent its bill and audit fine).  A run that
+    aborted in Phase II holds only its grievance entries, no audits,
+    and the ``mechanism.aborts`` / ``mechanism.aborts.phase_2`` counts."""
     return _row_snapshots(outcome, "mechanism.runs")
 
 
@@ -1100,9 +1313,12 @@ def _row_snapshots(
     transfers = outcome.transfers.tolist()
     fine_volume = outcome.fine_volume.tolist()
     volume = outcome.volume.tolist()
+    aborted = outcome.aborted.tolist()
     snapshots: list[dict[str, Any]] = []
     for k in range(len(volume)):
-        counters: dict[str, float] = {runs_counter: 1.0, "mechanism.audits": float(m)}
+        counters: dict[str, float] = {runs_counter: 1.0}
+        if not aborted[k]:
+            counters["mechanism.audits"] = float(m)
         if grievances[k]:
             counters["mechanism.grievances"] = float(grievances[k])
             if substantiated[k]:
@@ -1114,5 +1330,8 @@ def _row_snapshots(
             counters["mechanism.fine_volume"] = fine_volume[k]
         counters["ledger.transfers"] = float(transfers[k])
         counters["ledger.volume"] = volume[k]
+        if aborted[k]:
+            counters["mechanism.aborts"] = 1.0
+            counters["mechanism.aborts.phase_2"] = 1.0
         snapshots.append({"counters": counters})
     return snapshots

@@ -139,12 +139,11 @@ def run_population(
 
     ``use_batch=True`` routes the population through the row engine
     (:func:`repro.mechanism.rows.run_rows`) with **no scalar
-    fallback**: array-expressible lanes (truthful and bid/rate/bill
-    deviants, untraced) run as one stacked vectorized pass, and every
-    other lane — grievance-triggering deviants, aborts, proof
-    tampering, traced runs — executes on the lane engine,
-    bitwise-equal to the scalar loop in every summary field, protocol
-    counter, and trace byte.
+    fallback**: untraced runs, whatever their deviant, take the stacked
+    path (one vectorized pass; contradictions settled from the draw),
+    and traced runs execute on the lane engine, bitwise-equal to the
+    scalar loop in every summary field, protocol counter, and trace
+    byte.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

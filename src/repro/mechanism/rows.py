@@ -13,12 +13,16 @@ is the one place that knows how:
   subclass) × chain or star, and the scalar tree mechanism;
 - :func:`solo_row` — the one solo recipe, the reference every other
   path is bitwise-equal to;
-- :func:`run_rows` — the router: rows whose deviant the stacked arrays
-  can express (:data:`ARRAY_KINDS`, untraced, not trees) ride one
-  :func:`~repro.mechanism.batch_run.run_chain_batch` /
-  :func:`~repro.mechanism.batch_run.run_star_batch` call; every other
-  row runs the solo recipe on the lane engine (trees: the scalar tree
-  mechanism, counted in ``mechanism.scalar_fallbacks``).
+- :func:`run_rows` — the router, one rule: traced rows run the solo
+  recipe on the lane engine (their events are the scalar run's), tree
+  rows on the scalar tree mechanism (counted in
+  ``mechanism.scalar_fallbacks``), and every other row — all eight
+  deviant kinds — takes the stacked path.  Contradictory Phase I bids
+  there settle from the draw alone
+  (:func:`~repro.mechanism.batch_run.contradiction_aborts`); the rest
+  ride one :func:`~repro.mechanism.batch_run.run_chain_batch` /
+  :func:`~repro.mechanism.batch_run.run_star_batch` call, whose masked
+  columns carry the deviations.
 
 :func:`run_rows` returns, per row, the outcome fields and an *unmerged*
 counter snapshot: what that row's solo run contributes to the
@@ -54,10 +58,8 @@ from repro.obs.perf import span as perf_span
 from repro.obs.tracer import TraceEvent, Tracer
 
 __all__ = [
-    "ARRAY_KINDS",
     "RowsResult",
     "agent_rates",
-    "array_expressible",
     "build_mechanism",
     "draw_network",
     "map_ordered",
@@ -65,29 +67,6 @@ __all__ = [
     "run_rows",
     "solo_row",
 ]
-
-#: Deviant kinds the stacked arrays express, per topology: the bid, rate
-#: and bill columns, plus the ``shed`` and ``accuse`` verdict columns.
-#: The star never calls the Phase I/II computation hooks, so its
-#: ``miscompute``/``tamper`` rows are truthful rows.  Everything else —
-#: contradictory bids (aborts), the chain's Phase II identity failures,
-#: and any traced run — executes on the lane engine.
-ARRAY_KINDS = {
-    "chain": frozenset({"overcharge", "misbid", "slow", "shed", "accuse"}),
-    "star": frozenset({"overcharge", "misbid", "slow", "shed", "accuse", "miscompute", "tamper"}),
-}
-
-
-def array_expressible(topology: str, deviant: str | None) -> bool:
-    """Whether an untraced row can ride a stacked batch-engine call."""
-    if topology == "tree":
-        return False  # no batch engine for trees
-    if deviant is None:
-        return True
-    parts = deviant.split(":")
-    kinds = ARRAY_KINDS["star" if topology == "star" else "chain"]
-    return len(parts) >= 2 and parts[1] in kinds
-
 
 def draw_network(topology: str, m: int, rng: np.random.Generator):
     """The row's random network: ``m`` agents behind an obedient root.
@@ -289,70 +268,114 @@ def _array_rows(
     seeds: Sequence[int],
     deviants: Sequence[str | None],
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """One stacked batch-engine call over array-expressible rows; the
-    engine validates the drawn stack once."""
-    from repro.agents.strategies import LoadSheddingAgent
+    """Chain or star rows on the stacked path: contradictory Phase I bids
+    settle from the draw alone, every other row rides one batch-engine
+    call (skipped when every row contradicts), which validates the
+    drawn stack once."""
+    from repro.agents.strategies import (
+        ContradictoryBidAgent,
+        LoadSheddingAgent,
+        MiscomputingAgent,
+        RelayTamperingAgent,
+    )
     from repro.mechanism import batch_run
     from repro.mechanism.population import make_deviant
 
     n = len(seeds)
+    star = topology == "star"
     w, z, draws = _draw_stack(m, seeds)
+    fields: list[Any] = [None] * n
+    snapshots: list[Any] = [None] * n
 
-    bids = execution_rates = bill_overcharge = shed = accuse = None
-    if any(spec is not None for spec in deviants):
+    agents = [
+        None if spec is None else make_deviant(spec, [float(x) for x in w[k, 1:]])
+        for k, spec in enumerate(deviants)
+    ]
+    contradict = [k for k, agent in enumerate(agents) if isinstance(agent, ContradictoryBidAgent)]
+    if contradict:
+        fines, outlays, snaps = batch_run.contradiction_aborts(
+            w[contradict], np.array([agents[k].index for k in contradict]), star=star
+        )
+        for k, fine, outlay, snap in zip(contradict, fines.tolist(), outlays.tolist(), snaps):
+            fields[k] = {
+                "completed": False,
+                # The star's root-detected abort records no phase.
+                "aborted_phase": None if star else 1,
+                "makespan": None,
+                "fines_total": fine,
+                "n_grievances": 0 if star else 1,
+                "n_audits": 0,
+                "mechanism_outlay": outlay,
+            }
+            snapshots[k] = snap
+        stacked = [k for k in range(n) if fields[k] is None]
+        if not stacked:
+            return fields, snapshots
+        w, z, draws = w[stacked], z[stacked], draws[stacked]
+        agents = [agents[k] for k in stacked]
+    else:
+        stacked = range(n)
+
+    columns: dict[str, np.ndarray] = {}
+    if any(agent is not None for agent in agents):
+        rows = len(agents)
         bids = w[:, 1:].copy()
         execution_rates = w[:, 1:].copy()
-        bill_overcharge = np.zeros((n, m))
-        for k, spec in enumerate(deviants):
-            if spec is None:
+        bill_overcharge = np.zeros((rows, m))
+        columns = {"bids": bids, "execution_rates": execution_rates, "bill_overcharge": bill_overcharge}
+
+        def column(name: str, fill, dtype=np.float64) -> np.ndarray:
+            if name not in columns:
+                columns[name] = np.full((rows, m), fill, dtype=dtype)
+            return columns[name]
+
+        for k, agent in enumerate(agents):
+            if agent is None:
                 continue
-            agent = make_deviant(spec, [float(x) for x in w[k, 1:]])
             col = agent.index - 1
             bids[k, col] = agent.choose_bid()
             execution_rates[k, col] = agent.choose_execution_rate()
             # The bill inflation is the agent's markup over a zero base.
             bill_overcharge[k, col] = agent.phase4_bill(0.0)
+            # Masked verdict columns: NaN (False) marks an honest agent.
             if isinstance(agent, LoadSheddingAgent):
-                if shed is None:
-                    shed = np.full((n, m), np.nan)  # NaN: does not shed
-                shed[k, col] = agent.shed_fraction
-            if agent.fabricates_accusation() is not None:
-                if accuse is None:
-                    accuse = np.zeros((n, m), dtype=bool)
-                accuse[k, col] = True
+                column("shed", np.nan)[k, col] = agent.shed_fraction
+            elif agent.fabricates_accusation() is not None:
+                column("accuse", False, bool)[k, col] = True
+            elif star:
+                continue  # the star never calls the Phase I/II computation hooks
+            elif isinstance(agent, MiscomputingAgent):
+                column("w_bar_factor", np.nan)[k, col] = agent.w_bar_factor
+            elif isinstance(agent, RelayTamperingAgent):
+                column("d_factor", np.nan)[k, col] = agent.d_factor
 
-    star = topology == "star"
     run_batch = batch_run.run_star_batch if star else batch_run.run_chain_batch
     outcome = run_batch(
         w,
         z,
-        bids=bids,
-        execution_rates=execution_rates,
-        bill_overcharge=bill_overcharge,
-        shed=shed,
-        accuse=accuse,
         audit_probability=audit_probability,
         audit_draws=draws,
         # Counters are per row, folded by the caller in row order.
         emit_metrics=False,
+        **columns,
     )
-    snapshots = (batch_run.star_row_snapshots if star else batch_run.chain_row_snapshots)(outcome)
+    row_snaps = (batch_run.star_row_snapshots if star else batch_run.chain_row_snapshots)(outcome)
     makespan = outcome.makespan.tolist()
     fines = outcome.fines_total.tolist()
     outlay = outcome.mechanism_outlay.tolist()
     grievances = outcome.grievances.tolist()
-    fields = [
-        {
-            "completed": True,
-            "aborted_phase": None,
-            "makespan": makespan[k],
-            "fines_total": fines[k],
-            "n_grievances": grievances[k],
-            "n_audits": m,
-            "mechanism_outlay": outlay[k],
+    aborted = outcome.aborted.tolist()
+    for r, k in enumerate(stacked):
+        fields[k] = {
+            "completed": not aborted[r],
+            "aborted_phase": 2 if aborted[r] else None,
+            "makespan": None if aborted[r] else makespan[r],
+            "fines_total": fines[r],
+            "n_grievances": grievances[r],
+            "n_audits": 0 if aborted[r] else m,
+            "mechanism_outlay": outlay[r],
         }
-        for k in range(n)
-    ]
+        snapshots[k] = row_snaps[r]
     return fields, snapshots
 
 
@@ -369,45 +392,36 @@ def run_rows(
 ) -> RowsResult:
     """Route, run and return rows ``(seeds[i], deviants[i])``.
 
-    Array-expressible rows share one stacked call; the rest run
-    :func:`solo_row` on the lane engine (trees: scalar), in-process or,
-    with ``jobs > 1``, on a process pool.  Every row's fields, events
-    and counter snapshot equal its solo run's bitwise.  With ``span``,
-    the stacked call and each solo row are timed under
-    ``<span>.array`` / ``<span>.lane`` / ``<span>.tree``.
+    Untraced chain and star rows share one stacked call; traced rows run
+    :func:`solo_row` on the lane engine and tree rows on the scalar tree
+    mechanism, in-process or, with ``jobs > 1``, on a process pool.
+    Every row's fields, events and counter snapshot equal its solo
+    run's bitwise.  With ``span``, the stacked call and each solo row
+    are timed under ``<span>.array`` / ``<span>.lane`` / ``<span>.tree``.
     """
     n = len(seeds)
-    fields: list[Any] = [None] * n
-    engines = ["lane"] * n
-    events: list[list[TraceEvent]] = [[] for _ in range(n)]
-    snapshots: list[Any] = [None] * n
 
     def timed(kind: str):
         return perf_span(f"{span}.{kind}") if span is not None else nullcontext()
 
-    array = [] if trace else [i for i in range(n) if array_expressible(topology, deviants[i])]
-    if array:
+    if n and not trace and topology != "tree":
         with timed("array"):
-            array_fields, array_snaps = _array_rows(
-                topology,
-                m,
-                audit_probability,
-                [seeds[i] for i in array],
-                [deviants[i] for i in array],
-            )
-        for i, row_fields, snap in zip(array, array_fields, array_snaps):
-            fields[i], snapshots[i], engines[i] = row_fields, snap, "array"
+            fields, snapshots = _array_rows(topology, m, audit_probability, seeds, deviants)
+        return RowsResult(
+            fields=fields, engines=["array"] * n, events=[[] for _ in range(n)], snapshots=snapshots
+        )
 
-    solo = [i for i in range(n) if fields[i] is None]
+    # Traced rows need the lane engine's events; trees have no batch engine.
     if topology == "tree":
-        # No batch engine for trees: an honest fallback count per row.
-        if solo:
-            get_registry().inc("mechanism.scalar_fallbacks", float(len(solo)))
+        # An honest fallback count per row.
+        if n:
+            get_registry().inc("mechanism.scalar_fallbacks", float(n))
         engine, kind = "scalar", "tree"
     else:
         engine, kind = "lane", "lane"
     tasks = [
-        (topology, m, seeds[i], audit_probability, deviants[i], engine, trace) for i in solo
+        (topology, m, seed, audit_probability, deviant, engine, trace)
+        for seed, deviant in zip(seeds, deviants)
     ]
     if jobs > 1:
         results = map_ordered(_solo_delta, tasks, jobs)
@@ -416,6 +430,9 @@ def run_rows(
         for task in tasks:
             with timed(kind):
                 results.append(_solo_delta(*task))
-    for i, (row_fields, row_events, snap) in zip(solo, results):
-        fields[i], events[i], snapshots[i], engines[i] = row_fields, row_events, snap, engine
-    return RowsResult(fields=fields, engines=engines, events=events, snapshots=snapshots)
+    return RowsResult(
+        fields=[r[0] for r in results],
+        engines=[engine] * n,
+        events=[r[1] for r in results],
+        snapshots=[r[2] for r in results],
+    )

@@ -69,8 +69,9 @@ async def _connect(
         label=label,
     )
 
-#: Deviant specs cycled through the generated workload: two array-lane
-#: kinds, two grievance-lane kinds, and truthful gaps in between.
+#: Deviant specs cycled through the generated workload: bid and bill
+#: deviations, a false accusation, a contradiction (a Phase I abort),
+#: and truthful gaps in between.
 _WORKLOAD_DEVIANTS = (None, None, "1:misbid", None, "2:overcharge:1.5", None, "1:accuse", None, None, "2:contradict")
 
 #: Deviant kinds the tree mechanism can host (tamper-proof level).
@@ -91,7 +92,7 @@ def mixed_workload(
 
     Requests cycle through topology and size combinations with distinct
     seeds, so a server batching them faces realistic key diversity;
-    ``deviants=True`` threads grievance-lane and array-lane deviant
+    ``deviants=True`` threads bid, bill, grievance and abort deviant
     specs through the stream at a fixed cadence.  ``tenants`` and
     ``priorities`` cycle independently of the topology cadence, spreading
     every tenant across every batch key (the admission-fairness fields

@@ -3,7 +3,7 @@
 The service executes mechanism *rows* through the row engine,
 :mod:`repro.mechanism.rows`, which owns the whole recipe: network draw,
 agents, mechanism-class choice, and the routing of each row onto the
-stacked arrays or the lane mechanisms.  This module only maps requests
+stacked path, the lane mechanisms (traced rows) or the tree mechanism.  This module only maps requests
 onto rows and rows back onto responses:
 
 - :func:`solo_summary` is the reference recipe —
@@ -14,9 +14,10 @@ onto rows and rows back onto responses:
   tree of ``m + 1`` nodes.
 - :func:`run_group_rows` executes one *compatible group* (requests
   sharing a :attr:`~repro.serve.request.MechanismRequest.batch_key`)
-  as one :func:`~repro.mechanism.rows.run_rows` call: array-expressible
-  rows ride one stacked batch-engine call, grievance-lane rows the lane
-  mechanisms, tree rows the scalar tree mechanism (an honest
+  as one :func:`~repro.mechanism.rows.run_rows` call: chain and star
+  rows, every deviant kind included, take the stacked path (served
+  requests are never traced, so they never need the lane mechanisms),
+  tree rows the scalar tree mechanism (an honest
   ``mechanism.scalar_fallbacks`` increment each).  It returns, alongside
   the responses, one registry-snapshot *delta* per row — unmerged — so
   the caller (the dispatcher's event loop, even when the rows ran in a

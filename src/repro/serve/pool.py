@@ -30,6 +30,7 @@ response.  The pool parity property suite
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
@@ -70,6 +71,28 @@ def _warmup(_index: int = 0) -> bool:
     return True
 
 
+#: Modules the fork server imports once, so each worker it forks starts
+#: with the engine (and what the engine imports on its first row)
+#: already loaded.
+_PRELOAD = [
+    "repro.serve.pool",
+    "repro.serve.engine",
+    "repro.mechanism.batch_run",
+    "repro.mechanism.population",
+]
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """An executor whose workers fork from a clean ``forkserver``
+    process, never from the serving process: a worker forked from the
+    server would inherit every connection open at that moment, and a
+    connection the server closes would then stay open (no EOF reaches
+    the client) for as long as that worker lives."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(_PRELOAD)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
 class WorkerPool:
     """``N`` worker processes executing flush groups for the dispatcher.
 
@@ -84,9 +107,7 @@ class WorkerPool:
         if workers < 1:
             raise ValueError("worker pool needs at least 1 worker")
         self.workers = workers
-        self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=workers
-        )
+        self._executor: ProcessPoolExecutor | None = _executor(workers)
 
     @property
     def closed(self) -> bool:
@@ -94,8 +115,8 @@ class WorkerPool:
 
     def warm(self) -> None:
         """Start every worker process now (first-flush latency would
-        otherwise pay the fork/spawn cost; benches call this before
-        timing)."""
+        otherwise pay the fork server's start-up; the service calls this
+        before it binds, benches before timing)."""
         if self._executor is not None:
             list(self._executor.map(_warmup, range(self.workers)))
 
@@ -117,7 +138,7 @@ class WorkerPool:
             return loop.run_in_executor(self._executor, execute_group, list(requests))
         except BrokenProcessPool:
             self._executor.shutdown(wait=False)
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = _executor(self.workers)
             get_registry().inc("serve.pool_restarts")
             return loop.run_in_executor(self._executor, execute_group, list(requests))
 

@@ -15,8 +15,8 @@ Requests are *compatible* (stackable into one
 :func:`~repro.mechanism.batch_run.run_star_batch` call) when they share
 a :attr:`~MechanismRequest.batch_key`: topology, size and audit
 probability.  Seeds and deviant specs vary freely within a stacked
-call — deviant kinds the arrays cannot express ride the engine's lane
-mechanisms instead (see :mod:`repro.serve.engine`).  Tree requests have
+call, every deviant kind included (see :mod:`repro.serve.engine`).
+Tree requests have
 no batch engine; they group like any other key but each row runs the
 scalar tree mechanism (counted under ``mechanism.scalar_fallbacks``).
 

@@ -89,7 +89,10 @@ class MechanismService:
         self._stopping: asyncio.Event | None = None
 
     async def start(self) -> None:
-        """Bind the server and start the dispatcher loop."""
+        """Start the pool's workers, then the dispatcher loop, then bind
+        the server."""
+        if self.pool is not None:
+            self.pool.warm()
         self._stopping = asyncio.Event()
         self.dispatcher.start()
         self._server = await asyncio.start_server(

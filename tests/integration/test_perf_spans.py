@@ -9,6 +9,8 @@ lines from the spans wherever they nested.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,13 @@ def _kernels() -> None:
     solve_star_batch([[2.0, 2.0, 3.0]], [[1.0, 0.5]])
 
 
+def _star_rows():
+    """A stacked star row, then a traced one on the lane engine."""
+    stacked = run_rows("star", 3, 0.5, [1], [None])
+    traced = run_rows("star", 3, 0.5, [2], ["2:contradict"], trace=True)
+    return SimpleNamespace(snapshots=stacked.snapshots + traced.snapshots)
+
+
 #: run kind -> (callable, span path suffixes it must record).
 RUN_KINDS = {
     "scalar_population": (
@@ -47,14 +56,12 @@ RUN_KINDS = {
         lambda: run_population(3, 3, seed=1, use_batch=True),
         ["mech_batch", "mech_batch.phase_1.solve.batch_linear"],
     ),
+    # Only traced rows take the lane engine.
     "lane_row": (
-        lambda: run_rows("chain", 3, 0.5, [1], ["3:miscompute"]),
+        lambda: run_rows("chain", 3, 0.5, [1], ["3:miscompute"], trace=True),
         ["mechanism", "mechanism.phase_4"],
     ),
-    "star_rows": (
-        lambda: run_rows("star", 3, 0.5, [1, 2], [None, "2:contradict"]),
-        ["mech_batch_star", "mechanism_star"],
-    ),
+    "star_rows": (_star_rows, ["mech_batch_star", "mechanism_star"]),
     "tree_row": (lambda: run_rows("tree", 3, 0.5, [1], [None]), ["mechanism_tree"]),
     "dls_lil": (_lil_run, ["mechanism_lil"]),
     "resilient_runtime": (

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import time
 
 from repro.cli import main
 from repro.serve.client import (
@@ -13,6 +16,7 @@ from repro.serve.client import (
     shutdown_server,
 )
 from repro.serve.dispatcher import FlushPolicy
+from repro.serve.engine import solo_summary
 from repro.serve.request import MechanismRequest
 from repro.serve.service import MechanismService
 
@@ -42,8 +46,8 @@ class TestServiceEndToEnd:
         assert report["errors"] == 0
         assert report["bitwise_equal"] is True
         assert report["unverified"] == 0
-        # Deviant cadence in the workload exercises both engine paths.
-        assert set(report["served_engines"]) == {"array", "lane"}
+        # Untraced chain/star requests, deviants included, all stack.
+        assert set(report["served_engines"]) == {"array"}
         assert report["mean_batch_size"] >= 1.0
         assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
 
@@ -194,6 +198,48 @@ class TestServiceEndToEnd:
         assert stats["workers"] == 2
         assert stats["queue_depth"] >= 0
         assert stats["counters"].get("serve.pool_dispatches", 0) >= 1
+
+    def test_half_closed_client_gets_eof_after_a_worker_restart(self):
+        # The replacement worker starts while the second connection is
+        # open; it must not hold that socket, or the server's close never
+        # reaches the half-closed client.
+        def line(request_id):
+            msg = {"op": "run", "topology": "chain", "m": 3, "seed": request_id,
+                   "request_id": request_id}
+            return json.dumps(msg).encode() + b"\n"
+
+        async def _go(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            writer.write(line(0))
+            await writer.drain()
+            first = json.loads(await asyncio.wait_for(reader.readline(), 30))
+            writer.close()
+            await writer.wait_closed()
+
+            executor = service.pool._executor
+            for pid in list(executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not executor._broken and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            writer.write(line(1))
+            await writer.drain()
+            writer.write_eof()
+            # read() returns only at EOF.
+            rest = await asyncio.wait_for(reader.read(), 20)
+            writer.close()
+            return first, [json.loads(x) for x in rest.splitlines()], service.stats()
+
+        first, replies, stats = asyncio.run(_with_service(_go, workers=1))
+        assert [r["request_id"] for r in [first, *replies]] == [0, 1]
+        for reply in [first, *replies]:
+            request = MechanismRequest(
+                topology="chain", m=3, seed=reply["request_id"], request_id=reply["request_id"]
+            ).validate()
+            assert reply["ok"] and reply["summary"] == solo_summary(request)
+        assert stats["counters"]["serve.pool_restarts"] == 1
 
     def test_graceful_shutdown_drains_admitted_work(self):
         requests = mixed_workload(12, seed=3, sizes=(3,))

@@ -12,8 +12,10 @@ protocol counters, and trace *bytes* (via
 mismatching event on failure) — then sweep them across the full
 :data:`~repro.faults.FAULT_KINDS` catalog on chains and stars, the
 population deviant catalog, and the X8 coalition replay.  The stacked
-engines' ``shed``/``accuse`` verdict columns are swept against the lane
-engine row by row (``assert_rows_equal_lane_runs``).
+path's deviant columns — ``shed``/``accuse`` verdicts, miscomputed and
+tampered Phase II values under the stacked G-message check — and its
+contradictions settled from the draw are swept against the lane engine
+row by row (``assert_rows_equal_lane_runs``).
 """
 
 from __future__ import annotations
@@ -175,6 +177,24 @@ SHED_FRACTIONS = ("0", "1e-6", "0.5", "1.0")
 VERDICT_KINDS = tuple(f"shed:{f}" for f in SHED_FRACTIONS) + ("accuse",)
 
 
+#: Miscompute and tamper factors: the defaults' neighbours, no-op, within
+#: ``CHECK_RTOL`` of 1, and far off in both directions.
+PHASE2_FACTORS = ("0.8", "0.7", "1.0", "1.0000000001", "1e-3", "1e3")
+
+#: Lemma 5.1 (i) and (ii): the aborting kinds.
+ABORT_KINDS = ("contradict",) + tuple(
+    f"{kind}:{factor}" for kind in ("miscompute", "tamper") for factor in PHASE2_FACTORS
+)
+
+ABORT_AND_GRIEVANCE_COUNTERS = (
+    "mechanism.grievances",
+    "mechanism.grievances_substantiated",
+    "mechanism.aborts",
+    "mechanism.aborts.phase_1",
+    "mechanism.aborts.phase_2",
+)
+
+
 def _specs(m, kinds):
     """Row specs: a kind from ``kinds`` on agent ``1..m``, or truthful."""
     spec = st.builds(
@@ -195,7 +215,7 @@ def assert_rows_equal_lane_runs(topology, m, q, seeds, specs):
         assert rows.fields[i] == fields, (topology, m, q, seed, spec)
         got, want = protocol_counters(rows.snapshots[i]), protocol_counters(snapshot)
         assert got == want, (topology, m, q, seed, spec)
-        for key in ("mechanism.grievances", "mechanism.grievances_substantiated"):
+        for key in ABORT_AND_GRIEVANCE_COUNTERS:
             assert got.get(key) == want.get(key)
     return rows
 
@@ -229,7 +249,7 @@ class TestArrayVerdictsDifferential:
         data=st.data(),
     )
     def test_mixed_stacks_of_all_kinds_equal_lane_runs(self, topology, m, q, seed, data):
-        specs = data.draw(_specs(m, _DEVIANT_KINDS + VERDICT_KINDS))
+        specs = data.draw(_specs(m, _DEVIANT_KINDS + VERDICT_KINDS + ABORT_KINDS))
         seeds = [seed + k for k in range(len(specs))]
         assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
 
@@ -256,6 +276,95 @@ class TestArrayVerdictsDifferential:
         # A terminal shed is a no-op: no grievance.
         terminal = [f for f, spec in zip(rows.fields, specs) if spec.startswith("3:shed")]
         assert all(f["n_grievances"] == 0 for f in terminal)
+
+
+class TestArrayAbortsDifferential:
+    """Contradictory bids (settled from the draw), miscomputed ``w_bar``
+    and tampered ``D`` (the stacked Phase II check) against the lane
+    engine, row by row: Phase I and Phase II aborts, terminal no-ops and
+    factors close enough to 1 that the run completes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        topology=st.sampled_from(["chain", "star"]),
+        m=st.integers(min_value=1, max_value=8),
+        q=st.sampled_from([0.25, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_abort_kinds_rows_equal_lane_runs(self, topology, m, q, seed, data):
+        specs = data.draw(_specs(m, ABORT_KINDS))
+        seeds = [seed + k for k in range(len(specs))]
+        rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+        assert rows.engines == ["array"] * len(specs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=st.sampled_from(["chain", "star"]),
+        m=st.integers(min_value=1, max_value=8),
+        q=st.sampled_from([0.25, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        kind=st.sampled_from(ABORT_KINDS),
+        data=st.data(),
+    )
+    def test_one_row_calls_equal_lane_runs(self, topology, m, q, seed, kind, data):
+        index = data.draw(st.integers(min_value=1, max_value=m))
+        assert_rows_equal_lane_runs(topology, m, q, [seed], [f"{index}:{kind}"])
+
+    @pytest.mark.parametrize("topology", ["chain", "star"])
+    def test_every_index_and_factor(self, topology):
+        for m in (1, 4, 8):
+            specs = [f"{i}:{kind}" for i in range(1, m + 1) for kind in ABORT_KINDS]
+            seeds = list(range(300 * m, 300 * m + len(specs)))
+            for q in (0.25, 1.0):
+                rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+                assert rows.engines == ["array"] * len(specs)
+
+    def test_chain_sweep_exercises_every_outcome(self):
+        specs = [f"{i}:{kind}" for i in (1, 2, 3) for kind in ABORT_KINDS]
+        rows = run_rows("chain", 3, 0.25, list(range(len(specs))), specs)
+        phases = {fields["aborted_phase"] for fields in rows.fields}
+        assert phases == {None, 1, 2}
+        # A terminal miscompute is a different bid and a terminal tamper
+        # relays nothing: both complete.
+        terminal = [
+            f for f, spec in zip(rows.fields, specs) if spec.startswith(("3:miscompute", "3:tamper"))
+        ]
+        assert terminal and all(f["completed"] for f in terminal)
+
+    @pytest.mark.parametrize("topology", ["chain", "star"])
+    def test_all_abort_stack_runs_no_solve(self, topology):
+        specs = [f"{1 + k % 3}:contradict" for k in range(5)]
+        with collecting() as registry:
+            rows = assert_rows_equal_lane_runs(topology, 3, 0.25, list(range(5)), specs)
+            counters = registry.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("dlt.batch.")]
+        assert not any(fields["completed"] for fields in rows.fields)
+
+    def test_untraced_rows_never_reach_the_lane_engine(self, monkeypatch):
+        from repro.mechanism import batch_run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an untraced row reached the lane engine")
+
+        monkeypatch.setattr(batch_run.LaneChainMechanism, "__init__", refuse)
+        monkeypatch.setattr(batch_run.LaneStarMechanism, "__init__", refuse)
+        specs = [None] + [f"2:{kind}" for kind in _DEVIANT_KINDS]
+        for topology in ("chain", "star"):
+            rows = run_rows(topology, 4, 0.25, list(range(len(specs))), specs)
+            assert rows.engines == ["array"] * len(specs)
+
+
+class TestMisbidPhase2Gap:
+    """A chain misbid by 1e7 makes the scalar protocol's Phase II check
+    fail on float cancellation: the successor accuses the misbidder and
+    the run aborts.  The stacked check reproduces that verdict."""
+
+    @pytest.mark.parametrize("spec", ["1:misbid:1e7", "2:misbid:1e7", "4:misbid:1e7"])
+    def test_array_verdicts_equal_lane_runs(self, spec):
+        rows = assert_rows_equal_lane_runs("chain", 4, 0.25, list(range(40)), [spec] * 40)
+        assert any(fields["aborted_phase"] == 2 for fields in rows.fields)
+        assert any(fields["completed"] for fields in rows.fields)
 
 
 class TestScalarFallbackCounter:

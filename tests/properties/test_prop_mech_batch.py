@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.strategies import (
+    MiscomputingAgent,
     MisbiddingAgent,
     OverchargingAgent,
+    RelayTamperingAgent,
     SlowExecutionAgent,
     TruthfulAgent,
 )
 from repro.experiments.runner import task_seed
 from repro.mechanism.batch_run import run_chain_batch, run_star_batch
 from repro.mechanism.dls_lbl import DLSLBLMechanism
-from repro.mechanism.population import run_population
+from repro.mechanism.population import make_deviant, run_population
 from repro.mechanism.rows import _draw_stack, _solo_delta, draw_network, run_rows
 from repro.mechanism.star_mechanism import StarMechanism
 from repro.network.generators import random_linear_network, random_star_network
@@ -255,9 +257,67 @@ class TestStackedDraw:
             assert np.array_equal(draws[k], rng.random(m))
 
 
+class TestChainPhase2Checks:
+    """Miscomputed ``w_bar``, tampered ``D`` and an extreme misbid through
+    :func:`run_chain_batch` against :class:`DLSLBLMechanism`, per agent:
+    which runs abort in Phase II, who pays the grievance fine and who
+    collects the reward (the row fields alone cannot tell)."""
+
+    M = 4
+    SPECS = [
+        f"{i}:{kind}:{factor}"
+        for i in (1, 2, 4)
+        for kind in ("miscompute", "tamper")
+        for factor in ("0.8", "1e3", "1.0000000001")
+    ] + ["1:misbid:1e7", "2:misbid:1e7"] * 6
+
+    def test_per_agent_outcomes_equal_scalar(self):
+        m, n = self.M, len(self.SPECS)
+        seeds = list(range(700, 700 + n))
+        w, z, draws = _draw_stack(m, seeds)
+        bids = w[:, 1:].copy()
+        w_bar_factor = np.full((n, m), np.nan)
+        d_factor = np.full((n, m), np.nan)
+        for k, spec in enumerate(self.SPECS):
+            agent = make_deviant(spec, list(w[k, 1:]))
+            bids[k, agent.index - 1] = agent.choose_bid()
+            if isinstance(agent, MiscomputingAgent):
+                w_bar_factor[k, agent.index - 1] = agent.w_bar_factor
+            elif isinstance(agent, RelayTamperingAgent):
+                d_factor[k, agent.index - 1] = agent.d_factor
+        batch = run_chain_batch(
+            w,
+            z,
+            bids=bids,
+            w_bar_factor=w_bar_factor,
+            d_factor=d_factor,
+            audit_probability=0.25,
+            audit_draws=draws,
+        )
+        aborted = 0
+        for k, (seed, spec) in enumerate(zip(seeds, self.SPECS)):
+            rng = np.random.default_rng(seed)
+            net = draw_network("chain", m, rng)
+            agents = [TruthfulAgent(i, float(t)) for i, t in enumerate(net.w[1:], start=1)]
+            deviant = make_deviant(spec, list(net.w[1:]))
+            agents[deviant.index - 1] = deviant
+            outcome = DLSLBLMechanism(
+                net.z, float(net.w[0]), agents, audit_probability=0.25, rng=rng
+            ).run()
+            assert bool(batch.aborted[k]) == (not outcome.completed), spec
+            assert np.array_equal(outcome.bids, batch.bids[k])
+            assert np.array_equal(outcome.w_bar, batch.w_bar[k])
+            assert [outcome.utility(j) for j in range(1, m + 1)] == batch.utilities[k].tolist()
+            assert outcome.ledger.mechanism_outlay() == batch.mechanism_outlay[k]
+            assert len(outcome.adjudications) == batch.grievances[k]
+            aborted += not outcome.completed
+        assert 0 < aborted < n
+
+
 class TestStarRowsDifferential:
-    """Star ``run_rows`` (stacked array rows plus lane rows) against the
-    scalar :class:`StarMechanism` solo recipe, row by row."""
+    """Star ``run_rows`` (every row stacked, the contradiction settled
+    from the draw) against the scalar :class:`StarMechanism` solo
+    recipe, row by row."""
 
     SPECS = (
         None,
@@ -277,7 +337,7 @@ class TestStarRowsDifferential:
     def test_rows_equal_scalar_solo(self, m):
         seeds = [task_seed(f"star/{i}", m) for i in range(len(self.SPECS))]
         rows = run_rows("star", m, 0.5, seeds, self.SPECS)
-        assert "array" in rows.engines and "lane" in rows.engines
+        assert rows.engines == ["array"] * len(self.SPECS)
         for i, (seed, spec) in enumerate(zip(seeds, self.SPECS)):
             fields, _events, snapshot = _solo_delta("star", m, seed, 0.5, spec, "scalar", False)
             assert rows.fields[i] == fields

@@ -81,10 +81,6 @@ def _encode(lines: list) -> list[bytes]:
 async def _exchange(wire: list[bytes], workers: int) -> list[dict]:
     """Send every line on one connection; read every reply until EOF."""
     service = MechanismService(port=0, workers=workers)
-    if service.pool is not None:
-        # Fork the worker before the connection opens: a worker forked
-        # later inherits the server's socket and holds off our EOF.
-        service.pool.warm()
     await service.start()
     try:
         reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
