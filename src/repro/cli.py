@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", action="store_true",
         help="run the population through the batched Phase I-IV engine "
         "(bitwise-equal results and trace bytes; untraced runs of every "
-        "deviant kind stay stacked, traced runs execute on its masked "
-        "lane path — no scalar fallback)",
+        "deviant kind stay stacked, traced runs execute the scalar mechanism)",
     )
     run.add_argument("--trace", default=None, metavar="PATH", help="write the merged JSONL trace to PATH")
     run.add_argument(
@@ -305,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults_run.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process serial)")
     faults_run.add_argument("--runs", type=int, default=None, help="override the scenario's run count")
     faults_run.add_argument("--trace", default=None, metavar="PATH", help="write the merged JSONL trace to PATH")
-    faults_run.add_argument(
-        "--batch", action="store_true",
-        help="execute chain/star runs on the batch engine's lane mechanisms "
-        "(bitwise-equal results; tree/infrastructure scenarios stay scalar "
-        "and count mechanism.scalar_fallbacks)",
-    )
     faults_run.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="write the merged metrics report (JSON) to PATH",
@@ -765,7 +758,6 @@ def _cmd_faults(args) -> int:
                 jobs=args.jobs,
                 runs=args.runs,
                 trace=args.trace is not None,
-                use_batch=args.batch,
             )
         except ValueError as exc:
             raise SystemExit(str(exc)) from None

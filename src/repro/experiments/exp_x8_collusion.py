@@ -29,14 +29,12 @@ from repro.mechanism.rows import build_mechanism
 __all__ = ["run_x8_collusion"]
 
 
-def _run(network, overrides, seed=0, use_batch=False):
+def _run(network, overrides, seed=0):
     agents = [TruthfulAgent(i, float(t)) for i, t in enumerate(network.w[1:], start=1)]
     for idx, agent in overrides.items():
         agents[idx - 1] = agent
     mech = build_mechanism(
-        "chain", network, agents,
-        engine="lane" if use_batch else "scalar",
-        audit_probability=1.0, rng=np.random.default_rng(seed),
+        "chain", network, agents, audit_probability=1.0, rng=np.random.default_rng(seed)
     )
     return mech.run()
 
@@ -45,7 +43,6 @@ def run_x8_collusion(
     workload: Workload | None = None,
     *,
     shed_fraction: float = 0.5,
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workload = workload or WORKLOADS["small-uniform"]
     table = Table(
@@ -79,7 +76,6 @@ def run_x8_collusion(
                 ),
                 victim_idx: SilentVictimAgent(victim_idx, float(network.w[victim_idx])),
             },
-            use_batch=use_batch,
         )
         assert not colluded.adjudications  # silence worked
         joint_colluded = colluded.utility(shedder_idx) + colluded.utility(victim_idx)
@@ -93,7 +89,6 @@ def run_x8_collusion(
                     shedder_idx, float(network.w[shedder_idx]), shed_fraction=shed_fraction
                 ),
             },
-            use_batch=use_batch,
         )
         [verdict] = [v for v in betrayed.adjudications if v.substantiated]
         betrayal_payoff = verdict.reward_amount  # the reward F

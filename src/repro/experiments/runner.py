@@ -450,8 +450,8 @@ def benchmark_batch(
        ``DLSLBLMechanism.run`` loops vs. one batched Phase I–IV engine
        pass, with the bitwise-equality of the two run sets recorded
        alongside the timings.  Its ``deviant_mix`` row repeats the
-       comparison with 30% deviant lanes rotating the full catalog, so
-       the masked lane path's overhead is measured, not assumed; both
+       comparison with 30% deviant runs rotating the full catalog, so
+       the masked verdict columns' overhead is measured, not assumed; both
        rows record ``bitwise_equal`` and timings are only meaningful
        when it is true.
     4. *Micro-batched serving* (``serve``): the same ``serve_count``
@@ -542,9 +542,9 @@ def benchmark_batch(
         mech_batch_s = time.perf_counter() - start
         mech_equal = mech_scalar.runs == mech_batched.runs
 
-        # The same contract under adversaries: 30% of lanes deviate, rotating
-        # the full catalog (shed, contradict, tamper, ... force the masked
-        # lane path; misbid/slow/overcharge stay on the stacked arrays).
+        # The same contract under adversaries: 30% of runs deviate, rotating
+        # the full catalog (every kind rides the stacked arrays; contradict
+        # settles from the draw, the rest through masked verdict columns).
         deviant_specs: list[str | None] = [
             f"{1 + (i % (mech_m - 1))}:{_DEVIANT_KINDS[i % len(_DEVIANT_KINDS)]}"
             if i % 10 < 3

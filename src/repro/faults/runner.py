@@ -104,21 +104,12 @@ def _fines_against(outcome, proc: int) -> float:
     return float(total)
 
 
-def _build_mechanism(scenario, network, agents, rng, tracer, use_batch=False):
-    """Construct the scenario's mechanism for its topology.
-
-    ``use_batch=True`` swaps the chain/star mechanisms for the batch
-    engine's lane subclasses — same protocol code, bitwise-equal output,
-    crypto-free stand-ins.  Trees have no lane engine yet; that genuine
-    fallback is counted in ``mechanism.scalar_fallbacks``.
-    """
-    if use_batch and scenario.topology == "tree":
-        get_registry().inc("mechanism.scalar_fallbacks")
+def _build_mechanism(scenario, network, agents, rng, tracer):
+    """Construct the scenario's mechanism for its topology."""
     return build_mechanism(
         scenario.topology,
         network,
         agents,
-        engine="lane" if use_batch else "scalar",
         audit_probability=scenario.audit_probability,
         rng=rng,
         tracer=tracer,
@@ -130,14 +121,13 @@ def _run_scenario_once(
     run_index: int,
     seed: int,
     trace: bool,
-    use_batch: bool = False,
 ) -> tuple[dict[str, Any], list[TraceEvent], dict[str, Any]]:
     """Execute one scenario run.  Module-level so it pickles into pool
     workers; everything returned is picklable."""
     from repro.agents import TruthfulAgent
 
     if scenario.layer in ("infrastructure", "byzantine"):
-        return _run_infrastructure_once(scenario, run_index, seed, trace, use_batch)
+        return _run_infrastructure_once(scenario, run_index, seed, trace)
 
     run_seed = task_seed(f"faults/{scenario.name}/net/{run_index}", seed)
     rng = np.random.default_rng(run_seed)
@@ -167,7 +157,7 @@ def _run_scenario_once(
             )
 
     with collecting() as registry:
-        mech = _build_mechanism(scenario, network, agents, rng, tracer, use_batch)
+        mech = _build_mechanism(scenario, network, agents, rng, tracer)
         outcome = mech.run()
 
         baseline = None
@@ -181,7 +171,6 @@ def _run_scenario_once(
                 [TruthfulAgent(i, t) for i, t in enumerate(true_rates, start=1)],
                 baseline_rng,
                 None,
-                use_batch,
             )
             baseline = baseline_mech.run()
         snapshot = registry.snapshot()
@@ -279,7 +268,6 @@ def _run_infrastructure_once(
     run_index: int,
     seed: int,
     trace: bool,
-    use_batch: bool = False,
 ) -> tuple[dict[str, Any], list[TraceEvent], dict[str, Any]]:
     """One run of an infrastructure/byzantine scenario through the
     resilient runtime.
@@ -320,10 +308,6 @@ def _run_infrastructure_once(
             )
 
     with collecting() as registry:
-        if use_batch:
-            # The resilient runtime is event-driven, not array-shaped;
-            # a genuine scalar fallback worth surfacing in metrics.
-            registry.inc("mechanism.scalar_fallbacks")
         outcome = run_resilient(
             network.w,
             network.z,
@@ -414,7 +398,6 @@ def run_scenario(
     jobs: int = 1,
     trace: bool = False,
     runs: int | None = None,
-    use_batch: bool = False,
 ) -> ScenarioResult:
     """Run every instance of ``scenario`` (a spec or a catalog name).
 
@@ -422,18 +405,13 @@ def run_scenario(
     ``task_seed`` over ``(scenario.name, i, seed)``, so results and the
     merged trace are functions of ``(scenario, seed)`` only — ``jobs``
     changes wall-clock, never output.
-
-    ``use_batch=True`` executes chain/star runs on the batch engine's
-    lane mechanisms — bitwise-equal summaries, counters and trace bytes.
-    Tree and infrastructure scenarios have no batched analogue; they run
-    scalar and count each fallback in ``mechanism.scalar_fallbacks``.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     count = runs if runs is not None else scenario.runs
     if count < 1:
         raise ValueError("runs must be at least 1")
-    tasks = [(scenario, i, seed, trace, use_batch) for i in range(count)]
+    tasks = [(scenario, i, seed, trace) for i in range(count)]
     if jobs <= 1:
         outcomes = [_run_scenario_once(*task) for task in tasks]
     else:

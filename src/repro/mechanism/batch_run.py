@@ -50,22 +50,12 @@ Audit randomness comes in as a pre-shaped ``(runs, n)`` draw block —
 ``runs * n`` sequential scalar draws, so callers can hand the engine the
 same stream the scalar loop would have used.
 
-**Masked deviant lanes.**  Runs that need the scalar protocol's own
-code — traced runs (their events), fault-injected scenarios (proof
-forgery, meter tampering, crashes) and the X8 coalition replay —
-execute on the *lane engine*: :class:`LaneChainMechanism` /
-:class:`LaneStarMechanism` subclass the scalar mechanisms and swap only
-their infrastructure seams — HMAC signing becomes the fingerprint
-stand-in :class:`_PlainSigned`, the tamper-proof meter a plain
-recorder, and the event-heap Phase III simulator a closed-form chain
-replay.  Every protocol branch (grievance adjudication, aborts, audit
-recomputation, settlement, tracing) is the inherited scalar code
-operating on identical values, so lane outcomes — including trace
-bytes — are bitwise-equal by construction while skipping the crypto
-that dominates scalar runtime.  :func:`repro.mechanism.rows.run_rows`
-routes by one rule: traced rows take the lane engine, tree rows the
-scalar tree mechanism, and every other chain or star row — all eight
-deviant kinds — the stacked path.  There is no scalar fallback;
+**Routing.**  :func:`repro.mechanism.rows.run_rows` routes by one rule:
+every untraced chain or star row — all eight deviant kinds — takes the
+stacked path, and every other row (traced, tree) runs the scalar
+mechanism.  Runs that need the protocol's own code — traced runs (their
+events), fault-injected scenarios (proof forgery, meter tampering,
+crashes) and the X8 coalition replay — never reach this module.
 :func:`run_chain_batch` raises :class:`~repro.exceptions.ProtocolViolation`
 if a caller feeds it a row that files more than one grievance, as an
 internal-invariant guard.
@@ -92,24 +82,16 @@ import numpy as np
 from repro.dlt.batch import _validate_stack, solve_linear_batch
 from repro.exceptions import InvalidNetworkError, ProtocolViolation
 from repro.mechanism.audit import BILL_TOL
-from repro.mechanism.dls_lbl import DLSLBLMechanism
 from repro.mechanism.payments import payment_breakdown_batch
-from repro.mechanism.star_mechanism import StarMechanism
-from repro.network.topology import LinearNetwork
 from repro.obs.metrics import get_registry
 from repro.obs.perf import span as perf_span
 from repro.protocol.grievance import LOAD_TOL, OVERLOAD_TOL
 from repro.protocol.lambda_device import DEFAULT_BLOCKS_PER_UNIT
-from repro.protocol.meter import MeterReading, TamperProofMeter
 from repro.protocol.verification import CHECK_RTOL
-from repro.sim.linear_sim import LinearChainResult
-from repro.sim.trace import GanttTrace, Interval
 
 __all__ = [
     "BatchChainOutcome",
     "BatchStarOutcome",
-    "LaneChainMechanism",
-    "LaneStarMechanism",
     "chain_row_snapshots",
     "contradiction_aborts",
     "run_chain_batch",
@@ -1101,186 +1083,12 @@ def run_star_batch(
     return outcome
 
 
-# ---------------------------------------------------------------------------
-# Masked deviant lanes
-#
-# The scalar mechanisms reach every piece of environment machinery — the
-# PKI, message signing, the tamper-proof meter, the Phase III simulator —
-# through overridable seams.  The lane engine subclasses swap those seams
-# for crypto-free stand-ins, so a traced or fault-injected run executes
-# the *inherited* protocol code (grievances, aborts, audits, settlement,
-# tracing) on identical values, bitwise-equal to the scalar run but
-# without the HMAC signing/verification and event-heap costs that
-# dominate its runtime.
-# ---------------------------------------------------------------------------
-
-
-def _lane_fingerprint(payload: Any) -> tuple:
-    """A cheap canonical form of a message payload.
-
-    Protocol payloads are flat ``str -> int/float/str`` dicts, so the
-    sorted item tuple is a faithful stand-in for the scalar path's
-    canonical-bytes digest: equal payloads fingerprint equal, and digests
-    are only ever compared for equality."""
-    if isinstance(payload, dict):
-        return tuple(sorted(payload.items()))
-    return (repr(payload),)
-
-
-@dataclass(frozen=True)
-class _PlainSigned:
-    """Stand-in for :class:`~repro.crypto.signing.SignedMessage`.
-
-    Same ``signer``/``payload`` surface, but the HMAC signature is
-    replaced by a payload fingerprint taken at construction time.
-    ``verify`` recomputes the fingerprint, so a payload swapped in via
-    ``dataclasses.replace`` (how the fault injector tampers with meter
-    readings) carries the stale fingerprint and fails verification —
-    exactly when the real signature would.  The ``registry`` argument is
-    accepted and ignored, keeping every duck-typed consumer (G-message
-    verification, the grievance court, the audit recomputation)
-    unchanged."""
-
-    signer: int
-    payload: Any
-    fingerprint: tuple | None = None
-
-    def __post_init__(self) -> None:
-        if self.fingerprint is None:
-            object.__setattr__(self, "fingerprint", _lane_fingerprint(self.payload))
-
-    def verify(self, registry) -> bool:
-        return self.fingerprint == _lane_fingerprint(self.payload)
-
-    def content_digest(self) -> tuple:
-        return self.fingerprint
-
-
-class _LaneMeter:
-    """Duck-typed :class:`~repro.protocol.meter.TamperProofMeter` storing
-    plain readings and emitting fingerprint-signed messages."""
-
-    def __init__(self) -> None:
-        self._readings: dict[int, MeterReading] = {}
-
-    def record(self, proc: int, actual_rate: float, computed_amount: float) -> _PlainSigned:
-        reading = MeterReading(
-            proc=proc,
-            actual_rate=float(actual_rate),
-            computed_amount=float(computed_amount),
-        )
-        self._readings[proc] = reading
-        return _PlainSigned(signer=0, payload=reading.as_payload())
-
-    def reading_for(self, proc: int) -> MeterReading | None:
-        return self._readings.get(proc)
-
-    parse = staticmethod(TamperProofMeter.parse)
-
-
-def _replay_chain(
-    network: LinearNetwork,
-    retained: np.ndarray,
-    total_load: float,
-    delays: np.ndarray,
-) -> LinearChainResult:
-    """Closed-form replay of :func:`~repro.sim.linear_sim.simulate_linear_chain`.
-
-    The chain cascade is strictly sequential — the arrival at ``i + 1``
-    is a pure function of the arrival at ``i`` — so the event heap adds
-    nothing but overhead.  Every float operation keeps the simulator's
-    association order (arrivals advance by ``now + (delay + duration)``),
-    so times, interval bounds, and the recorded trace are
-    bitwise-identical to the event-driven run."""
-    n = network.size
-    w = network.w
-    z = network.z
-    retained_arr = np.asarray(retained, dtype=np.float64)
-    use_delays = bool(np.any(delays > 0.0))
-    trace = GanttTrace()
-    received = np.zeros(n)
-    computed = np.zeros(n)
-    arrival = np.zeros(n)
-    now = 0.0
-    load = float(total_load)
-    proc = 0
-    while True:
-        received[proc] = load
-        arrival[proc] = now
-        keep = load if proc == n - 1 else min(retained_arr[proc], load)
-        forward = load - keep
-        if keep > _EPS_LOAD:
-            computed[proc] = keep
-            duration = keep * w[proc]
-            trace.add(Interval("compute", proc, now, now + duration, keep))
-        if proc < n - 1 and forward > _EPS_LOAD:
-            duration = forward * z[proc]
-            delay = delays[proc] if use_delays else 0.0
-            start = now + delay
-            trace.add(Interval("send", proc, start, start + duration, forward, peer=proc + 1))
-            trace.add(Interval("recv", proc + 1, start, start + duration, forward, peer=proc))
-            now = now + (delay + duration)
-            load = forward
-            proc += 1
-        else:
-            break
-    return LinearChainResult(
-        trace=trace,
-        received=received,
-        computed=computed,
-        arrival_times=arrival,
-        finish_times=trace.finish_times(n),
-        makespan=trace.makespan,
-    )
-
-
-class LaneChainMechanism(DLSLBLMechanism):
-    """A divergent batch lane on the chain: the full scalar protocol with
-    the infrastructure seams swapped for batch-native stand-ins.
-
-    Runs what needs the protocol's own code rather than the stacked
-    arrays — traced rows (any deviant kind), fault-injected scenarios
-    (proof forgery, meter tampering, crashes) and the X8 coalition
-    replay — with outcomes, counters and trace bytes bitwise-equal to
-    :class:`DLSLBLMechanism`.  Untraced rows never come here."""
-
-    def _make_crypto(self, key_seed: bytes | None) -> None:
-        self._keys = None
-        return None
-
-    def _sign(self, signer: int, payload: dict) -> _PlainSigned:
-        return _PlainSigned(signer, payload)
-
-    def _make_meter(self) -> _LaneMeter:
-        return _LaneMeter()
-
-    def _simulate(
-        self, network: LinearNetwork, retained: np.ndarray, delays: np.ndarray
-    ) -> LinearChainResult:
-        return _replay_chain(network, retained, self.total_load, delays)
-
-
-class LaneStarMechanism(StarMechanism):
-    """A divergent batch lane on the star — :class:`StarMechanism` with
-    the crypto seams swapped, bitwise-equal outcomes."""
-
-    def _make_crypto(self, key_seed: bytes | None) -> None:
-        self._keys = None
-        return None
-
-    def _sign(self, signer: int, payload: dict) -> _PlainSigned:
-        return _PlainSigned(signer, payload)
-
-    def _make_meter(self) -> _LaneMeter:
-        return _LaneMeter()
-
-
 def chain_row_snapshots(outcome: BatchChainOutcome) -> list[dict[str, Any]]:
     """Per-row protocol-counter snapshots for a stacked chain outcome.
 
     The row engine (:mod:`repro.mechanism.rows`) merges counters in
-    *lane order* — interleaving array lanes with lane-engine runs — so
-    the float accumulation order matches a scalar loop exactly.  That
+    row order, so the float accumulation order matches a scalar loop
+    exactly.  That
     requires the stacked pass's counters at per-row granularity: each
     snapshot holds what one scalar run would have contributed, with the
     same left-fold entry order (the grievance fine and reward, root

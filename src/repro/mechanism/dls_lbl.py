@@ -176,7 +176,8 @@ class DLSLBLMechanism:
         self.total_load = float(total_load)
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-        self.registry = self._make_crypto(key_seed)
+        self.registry, keys = KeyRegistry.for_processors(self.m + 1, seed=key_seed)
+        self._keys: dict[int, KeyPair] = {pair.owner: pair for pair in keys}
 
         true_rates = np.array([self.root_rate] + [a.true_rate for a in agents_sorted])
         self.fine = (
@@ -191,46 +192,6 @@ class DLSLBLMechanism:
         #: component is worth; a deployment would never disable it.
         self.enforcement = bool(enforcement)
         self.tracer = tracer
-
-    # -- infrastructure seams ------------------------------------------
-    #
-    # Every piece of environment machinery the protocol touches — the
-    # PKI, message signing, the tamper-proof meter, the Phase III
-    # simulator — is reached through one of these overridable seams.
-    # The protocol logic itself (phases, grievances, audits, settlement,
-    # tracing) never changes; the batched lane engine subclasses swap
-    # in crypto-free stand-ins and a closed-form chain replay while
-    # inheriting every branch of the real mechanism verbatim.
-
-    def _make_crypto(self, key_seed: bytes | None) -> KeyRegistry | None:
-        """Build the simulated PKI; returns the verification registry."""
-        registry, keys = KeyRegistry.for_processors(self.m + 1, seed=key_seed)
-        self._keys: dict[int, KeyPair] | None = {pair.owner: pair for pair in keys}
-        return registry
-
-    def _sign(self, signer: int, payload: dict) -> SignedMessage:
-        """Sign ``payload`` on behalf of processor ``signer``."""
-        return sign(self._keys[signer], payload)
-
-    def _make_meter(self) -> TamperProofMeter:
-        """The environment-held execution meter (root-signed readings)."""
-        return TamperProofMeter(self._keys[0])
-
-    def _simulate(
-        self, network: LinearNetwork, retained: np.ndarray, delays: np.ndarray
-    ) -> LinearChainResult:
-        """Phase III store-and-forward execution on ``network``."""
-        return simulate_linear_chain(
-            network,
-            retained,
-            speeds=network.w,
-            total_load=self.total_load,
-            # Only pass the seam when somebody actually delays: the
-            # honest path must stay byte-identical to older traces.
-            send_delays=delays if np.any(delays > 0.0) else None,
-        )
-
-    # ------------------------------------------------------------------
 
     def _span(self, kind: str, **attrs):
         """A tracer span, or a no-op context when tracing is off."""
@@ -268,7 +229,7 @@ class DLSLBLMechanism:
         m = self.m
         ledger = PaymentLedger(tracer=self.tracer)
         lambda_device = LambdaDevice(self.total_load)
-        meter = self._make_meter()
+        meter = TamperProofMeter(self._keys[0])
         court = GrievanceCourt(
             self.registry, lambda_device, meter, self.z, self.fine, total_load=self.total_load
         )
@@ -307,7 +268,7 @@ class DLSLBLMechanism:
                     # The local fraction consistent with the agent's own signed
                     # story (honest agents: the true alpha_hat).
                     alpha_hat[i] = reported / bids[i]
-                message = self._sign(i, bid_payload(i, reported))
+                message = sign(self._keys[i], bid_payload(i, reported))
                 bid_messages[i] = message
                 if self.enforcement and agent.phase1_sends_malformed():
                     # "Processor P_{i-1} terminates the protocol if it ...
@@ -318,7 +279,7 @@ class DLSLBLMechanism:
                 if self.enforcement and second is not None and second != reported:
                     # Deviation (i): the recipient P_{i-1} holds two authentic,
                     # different bids and submits both to the root.
-                    conflicting = self._sign(i, bid_payload(i, second))
+                    conflicting = sign(self._keys[i], bid_payload(i, second))
                     grievance = Grievance(
                         kind=GrievanceKind.CONTRADICTORY_MESSAGES,
                         accuser=i - 1,
@@ -339,7 +300,7 @@ class DLSLBLMechanism:
         g_messages: dict[int, GMessage] = {}
 
         def scalar(signer: int, kind: str, proc: int, value: float) -> SignedMessage:
-            return self._sign(signer, value_payload(kind, proc, value))
+            return sign(self._keys[signer], value_payload(kind, proc, value))
 
         with perf_span("phase_2"), self._span("phase_2"):
             # Root constructs G_1 (eq. 4.1) — all components root-signed.
@@ -407,7 +368,15 @@ class DLSLBLMechanism:
             retained, received_actual = self._flows(assigned, received_share)
             network = LinearNetwork(actual_rates, self.z)
             with perf_span("simulate"):
-                sim_result = self._simulate(network, retained, delays)
+                sim_result = simulate_linear_chain(
+                    network,
+                    retained,
+                    speeds=network.w,
+                    total_load=self.total_load,
+                    # Only pass the delays when somebody actually delays:
+                    # the honest path must stay byte-identical to older traces.
+                    send_delays=delays if np.any(delays > 0.0) else None,
+                )
             computed = sim_result.computed
             if self.tracer is not None:
                 sim_result.trace.record_to(self.tracer)

@@ -138,12 +138,11 @@ def run_population(
     applies one spec to every run.
 
     ``use_batch=True`` routes the population through the row engine
-    (:func:`repro.mechanism.rows.run_rows`) with **no scalar
-    fallback**: untraced runs, whatever their deviant, take the stacked
-    path (one vectorized pass; contradictions settled from the draw),
-    and traced runs execute on the lane engine, bitwise-equal to the
-    scalar loop in every summary field, protocol counter, and trace
-    byte.
+    (:func:`repro.mechanism.rows.run_rows`): untraced runs, whatever
+    their deviant, take the stacked path (one vectorized pass;
+    contradictions settled from the draw), and traced runs execute the
+    scalar mechanism.  Every summary field, counter and trace byte
+    equals the scalar loop's.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

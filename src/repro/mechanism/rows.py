@@ -9,15 +9,14 @@ is the one place that knows how:
   ``default_rng(seed)`` draws first (chain, star, or a random rooted
   tree of ``m + 1`` nodes) and its strategic agents' true rates
   (:func:`preorder_rates` for trees);
-- :func:`build_mechanism` — scalar or lane (crypto-free batch-engine
-  subclass) × chain or star, and the scalar tree mechanism;
+- :func:`build_mechanism` — the scalar chain, star or tree mechanism;
 - :func:`solo_row` — the one solo recipe, the reference every other
   path is bitwise-equal to;
-- :func:`run_rows` — the router, one rule: traced rows run the solo
-  recipe on the lane engine (their events are the scalar run's), tree
-  rows on the scalar tree mechanism (counted in
-  ``mechanism.scalar_fallbacks``), and every other row — all eight
-  deviant kinds — takes the stacked path.  Contradictory Phase I bids
+- :func:`run_rows` — the router, one rule: an untraced chain or star
+  row — all eight deviant kinds — takes the stacked path, and every
+  other row runs the solo recipe (traced rows, whose events are the
+  scalar run's, and tree rows, counted in
+  ``mechanism.scalar_fallbacks``).  Contradictory Phase I bids
   there settle from the draw alone
   (:func:`~repro.mechanism.batch_run.contradiction_aborts`); the rest
   ride one :func:`~repro.mechanism.batch_run.run_chain_batch` /
@@ -108,27 +107,20 @@ def build_mechanism(
     network,
     agents,
     *,
-    engine: str = "scalar",
     audit_probability: float,
     rng: np.random.Generator,
     tracer: Tracer | None = None,
 ):
-    """Construct the row's mechanism: scalar or lane (the crypto-free
-    batch-engine subclass) × chain or star.  Trees have one engine, the
-    scalar tree mechanism, which models the tamper-proof level: no
-    audits, so no ``rng``."""
+    """Construct the row's scalar mechanism: chain, star, or the tree
+    mechanism, which models the tamper-proof level: no audits, so no
+    ``rng``."""
     if topology == "tree":
         from repro.mechanism.tree_mechanism import TreeMechanism
 
         return TreeMechanism(network, agents, tracer=tracer)
-    if engine == "lane":
-        from repro.mechanism import batch_run
+    from repro.mechanism import dls_lbl, star_mechanism
 
-        cls = batch_run.LaneStarMechanism if topology == "star" else batch_run.LaneChainMechanism
-    else:
-        from repro.mechanism import dls_lbl, star_mechanism
-
-        cls = star_mechanism.StarMechanism if topology == "star" else dls_lbl.DLSLBLMechanism
+    cls = star_mechanism.StarMechanism if topology == "star" else dls_lbl.DLSLBLMechanism
     return cls(
         network.z,
         float(network.w[0]),
@@ -146,16 +138,13 @@ def solo_row(
     audit_probability: float,
     deviant: str | None = None,
     *,
-    engine: str = "scalar",
     trace: bool = False,
 ) -> tuple[dict[str, Any], list[TraceEvent]]:
     """The solo recipe: ``default_rng(seed)``, draw the network, build
     the agents, run one mechanism.
 
     Returns the row's outcome fields and its trace events (empty unless
-    ``trace``); counters land in the active registry.  ``engine="lane"``
-    swaps in the crypto-free lane subclass — same protocol code,
-    bitwise-equal output.
+    ``trace``); counters land in the active registry.
     """
     from repro.agents import TruthfulAgent
     from repro.mechanism.ledger import MECHANISM
@@ -173,7 +162,6 @@ def solo_row(
         topology,
         network,
         agents,
-        engine=engine,
         audit_probability=audit_probability,
         rng=rng,
         tracer=tracer,
@@ -203,15 +191,12 @@ def _solo_delta(
     seed: int,
     audit_probability: float,
     deviant: str | None,
-    engine: str,
     trace: bool,
 ) -> tuple[dict[str, Any], list[TraceEvent], dict[str, Any]]:
     """:func:`solo_row` with its counter delta captured, unmerged.
     Module-level so it pickles into pool workers."""
     with collecting(merge=False) as registry:
-        fields, events = solo_row(
-            topology, m, seed, audit_probability, deviant, engine=engine, trace=trace
-        )
+        fields, events = solo_row(topology, m, seed, audit_probability, deviant, trace=trace)
     return fields, events, registry.snapshot()
 
 
@@ -231,8 +216,8 @@ class RowsResult:
     """Per-row outputs of :func:`run_rows`, index-aligned with its rows.
 
     ``fields`` are the seven outcome fields of :func:`solo_row`;
-    ``engines`` name the path each row rode (``array``, ``lane``, or
-    ``scalar`` for trees); ``snapshots`` are the unmerged per-row
+    ``engines`` name the path each row rode (``array``, or ``scalar``
+    for traced and tree rows); ``snapshots`` are the unmerged per-row
     counter deltas.
     """
 
@@ -392,12 +377,12 @@ def run_rows(
 ) -> RowsResult:
     """Route, run and return rows ``(seeds[i], deviants[i])``.
 
-    Untraced chain and star rows share one stacked call; traced rows run
-    :func:`solo_row` on the lane engine and tree rows on the scalar tree
-    mechanism, in-process or, with ``jobs > 1``, on a process pool.
-    Every row's fields, events and counter snapshot equal its solo
-    run's bitwise.  With ``span``, the stacked call and each solo row
-    are timed under ``<span>.array`` / ``<span>.lane`` / ``<span>.tree``.
+    Untraced chain and star rows share one stacked call; every other row
+    runs :func:`solo_row`, in-process or, with ``jobs > 1``, on a process
+    pool.  Every row's fields, events and counter snapshot equal its
+    solo run's bitwise.  With ``span``, the stacked call and each solo
+    row are timed under ``<span>.array`` / ``<span>.scalar`` (traced
+    chain or star rows) / ``<span>.tree``.
     """
     n = len(seeds)
 
@@ -411,16 +396,13 @@ def run_rows(
             fields=fields, engines=["array"] * n, events=[[] for _ in range(n)], snapshots=snapshots
         )
 
-    # Traced rows need the lane engine's events; trees have no batch engine.
-    if topology == "tree":
+    # Traced rows need the scalar run's events; trees have no batch engine.
+    kind = "tree" if topology == "tree" else "scalar"
+    if kind == "tree" and n:
         # An honest fallback count per row.
-        if n:
-            get_registry().inc("mechanism.scalar_fallbacks", float(n))
-        engine, kind = "scalar", "tree"
-    else:
-        engine, kind = "lane", "lane"
+        get_registry().inc("mechanism.scalar_fallbacks", float(n))
     tasks = [
-        (topology, m, seed, audit_probability, deviant, engine, trace)
+        (topology, m, seed, audit_probability, deviant, trace)
         for seed, deviant in zip(seeds, deviants)
     ]
     if jobs > 1:
@@ -432,7 +414,7 @@ def run_rows(
                 results.append(_solo_delta(*task))
     return RowsResult(
         fields=[r[0] for r in results],
-        engines=[engine] * n,
+        engines=["scalar"] * n,
         events=[r[1] for r in results],
         snapshots=[r[2] for r in results],
     )

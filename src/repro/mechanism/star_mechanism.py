@@ -164,7 +164,8 @@ class StarMechanism:
         self.total_load = float(total_load)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.audit_probability = float(audit_probability)
-        self.registry = self._make_crypto(key_seed)
+        self.registry, keys = KeyRegistry.for_processors(self.n + 1, seed=key_seed)
+        self._keys: dict[int, KeyPair] = {pair.owner: pair for pair in keys}
         true_rates = np.array([self.root_rate] + [a.true_rate for a in agents_sorted])
         self.fine = (
             float(fine)
@@ -172,24 +173,6 @@ class StarMechanism:
             else recommended_fine(true_rates, total_load=self.total_load, max_overcharge=10.0 * true_rates.max())
         )
         self.tracer = tracer
-
-    # -- infrastructure seams (see DLSLBLMechanism) --------------------
-
-    def _make_crypto(self, key_seed: bytes | None) -> KeyRegistry | None:
-        """Build the simulated PKI; returns the verification registry."""
-        registry, keys = KeyRegistry.for_processors(self.n + 1, seed=key_seed)
-        self._keys: dict[int, KeyPair] | None = {pair.owner: pair for pair in keys}
-        return registry
-
-    def _sign(self, signer: int, payload: dict) -> SignedMessage:
-        """Sign ``payload`` on behalf of processor ``signer``."""
-        return sign(self._keys[signer], payload)
-
-    def _make_meter(self) -> TamperProofMeter:
-        """The environment-held execution meter (root-signed readings)."""
-        return TamperProofMeter(self._keys[0])
-
-    # ------------------------------------------------------------------
 
     def _span(self, kind: str, **attrs):
         """A tracer span, or a no-op context when tracing is off."""
@@ -224,7 +207,7 @@ class StarMechanism:
     def _run_protocol(self, registry) -> StarOutcome:
         n = self.n
         ledger = PaymentLedger(tracer=self.tracer)
-        meter = self._make_meter()
+        meter = TamperProofMeter(self._keys[0])
         adjudications: list[Adjudication] = []
 
         # Phase I: children bid directly to the root (contradictions are
@@ -236,7 +219,7 @@ class StarMechanism:
             agent = self.agents[i]
             bid = agent.choose_bid()
             bids[i] = bid
-            message = self._sign(i, bid_payload(i, float(bid)))
+            message = sign(self._keys[i], bid_payload(i, float(bid)))
             bid_messages[i] = message
             second = agent.phase1_second_bid(float(bid))
             if second is not None and second != bid:

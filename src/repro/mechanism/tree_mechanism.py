@@ -170,10 +170,14 @@ class TreeMechanism:
             w_bar[node_id] = self._subtree_equivalent(node_id, rates, w_bar)
         return w_bar
 
-    def _allocate(self, rates: np.ndarray, w_bar: np.ndarray) -> np.ndarray:
-        """Top-down unrolling of the per-node fractions."""
+    def _allocate(
+        self, rates: np.ndarray, w_bar: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, list[int]]]:
+        """Top-down unrolling of the per-node fractions, with each parent's
+        service order (preorder child ids, :func:`solve_star`'s order)."""
         size = len(self.nodes)
         alpha = np.zeros(size)
+        orders: dict[int, list[int]] = {}
 
         def unroll(node_id: int, load: float) -> None:
             info = self.nodes[node_id]
@@ -183,12 +187,37 @@ class TreeMechanism:
             w = np.array([rates[node_id]] + [w_bar[c] for c in info.children])
             z = np.array([self.nodes[c].link for c in info.children], dtype=np.float64)
             sched = solve_star(StarNetwork(w, z))
+            orders[node_id] = [info.children[slot - 1] for slot in sched.order]
             alpha[node_id] = load * float(sched.alpha[0])
             for slot, child in enumerate(info.children, start=1):
                 unroll(child, load * float(sched.alpha[slot]))
 
         unroll(0, self.total_load)
-        return alpha
+        return alpha, orders
+
+    def _finish_times(
+        self, alpha: np.ndarray, orders: dict[int, list[int]], rates: np.ndarray
+    ) -> np.ndarray:
+        """Per-node finish times of allocation ``alpha`` at ``rates``.
+
+        Level by level, as :func:`~repro.dlt.star.star_finishing_times`
+        does for one star: a node computes its own share from its arrival
+        time, and a parent sends each child its whole subtree load
+        one-port, in ``orders``, so a child arrives when the parent's
+        cumulative transmission time reaches it."""
+        size = len(self.nodes)
+        subtree = alpha.copy()
+        for node_id in reversed(range(1, size)):  # descendants before ancestors
+            subtree[self.nodes[node_id].parent] += subtree[node_id]
+        arrival = np.zeros(size)
+        finish = np.zeros(size)
+        for node_id in range(size):  # preorder: parents before children
+            finish[node_id] = arrival[node_id] + alpha[node_id] * rates[node_id]
+            clock = 0.0
+            for child in orders.get(node_id, ()):
+                clock += subtree[child] * self.nodes[child].link
+                arrival[child] = arrival[node_id] + clock
+        return finish
 
     def run(self) -> TreeOutcome:
         """Collect bids, schedule, meter, and pay.
@@ -223,7 +252,7 @@ class TreeMechanism:
             bids[node_id] = agent.choose_bid()
 
         w_bar = self._collapse_all(bids)
-        alpha = self._allocate(bids, w_bar)
+        alpha, orders = self._allocate(bids, w_bar)
 
         actual_rates = np.zeros(size)
         actual_rates[0] = self.root_rate
@@ -278,11 +307,9 @@ class TreeMechanism:
                 utility=float(valuation + ledger.balance(node_id)),
             )
 
-        # The realized makespan: recompute the collapse at actual rates
-        # but with the bid-derived allocation — conservatively, the max of
-        # per-node finishing estimates is the root equivalent at actual
-        # rates when everyone is truthful.
-        makespan = float(self._collapse_all(actual_rates)[0]) * self.total_load
+        # The realized makespan: when the bid-derived allocation finishes
+        # at the metered rates (``w_bar[0] * W`` when everyone is truthful).
+        makespan = float(self._finish_times(alpha, orders, actual_rates).max())
 
         return TreeOutcome(
             bids=bids,

@@ -190,7 +190,7 @@ def span_tree(histograms: Mapping[str, Mapping[str, Any]]) -> dict[str, dict[str
 
 def span_total(histograms: Mapping[str, Mapping[str, Any]], suffix: str) -> tuple[int, float]:
     """``(count, seconds)`` summed over every span path ending in ``.suffix``,
-    top level or nested under any span (``runtime.epoch.``, ``serve.flush.lane.``)."""
+    top level or nested under any span (``runtime.epoch.``, ``experiments.X8.``)."""
     hits = [h for n, h in histograms.items() if n.startswith(PERF_PREFIX) and n.endswith("." + suffix)]
     return sum(int(h["count"]) for h in hits), sum(float(h["total"]) for h in hits)
 

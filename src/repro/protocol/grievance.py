@@ -104,9 +104,9 @@ def apply_adjudication(
     ledger fine entry, metrics and trace events regardless of which
     caller adjudicated it.  The root needs no incentives, so rewards
     addressed to it are retained by the mechanism (its utility stays 0
-    per eq. 4.3).  Module-level so settlement needs no court instance —
-    the batched lane engine applies verdicts the same way the scalar
-    mechanisms do.
+    per eq. 4.3).  Module-level so settlement needs no court instance:
+    the resilient runtime applies verdicts the same way the mechanisms
+    do.
     """
     registry = get_registry()
     registry.inc("mechanism.grievances")

@@ -3,7 +3,7 @@
 The service executes mechanism *rows* through the row engine,
 :mod:`repro.mechanism.rows`, which owns the whole recipe: network draw,
 agents, mechanism-class choice, and the routing of each row onto the
-stacked path, the lane mechanisms (traced rows) or the tree mechanism.  This module only maps requests
+stacked path or the scalar mechanism.  This module only maps requests
 onto rows and rows back onto responses:
 
 - :func:`solo_summary` is the reference recipe —
@@ -16,8 +16,7 @@ onto rows and rows back onto responses:
   sharing a :attr:`~repro.serve.request.MechanismRequest.batch_key`)
   as one :func:`~repro.mechanism.rows.run_rows` call: chain and star
   rows, every deviant kind included, take the stacked path (served
-  requests are never traced, so they never need the lane mechanisms),
-  tree rows the scalar tree mechanism (an honest
+  requests are never traced), tree rows the scalar tree mechanism (an honest
   ``mechanism.scalar_fallbacks`` increment each).  It returns, alongside
   the responses, one registry-snapshot *delta* per row — unmerged — so
   the caller (the dispatcher's event loop, even when the rows ran in a
@@ -38,21 +37,14 @@ from repro.serve.request import MechanismRequest, MechanismResponse
 __all__ = ["group_by_key", "run_group_rows", "solo_summary"]
 
 
-def solo_summary(request: MechanismRequest, engine: str = "scalar") -> dict[str, Any]:
-    """The reference scalar recipe for one request.
-
-    ``engine="lane"`` swaps in the batch engine's crypto-free lane
-    subclass — same protocol code, bitwise-equal output.  Trees have one
-    engine (the scalar tree mechanism), so the parameter is a no-op
-    there.
-    """
+def solo_summary(request: MechanismRequest) -> dict[str, Any]:
+    """The reference scalar recipe for one request."""
     fields, _events = solo_row(
         request.topology,
         request.m,
         request.seed,
         request.audit_probability,
         request.deviant,
-        engine=engine,
     )
     return {"topology": request.topology, "m": request.m, "seed": request.seed, **fields}
 
@@ -64,8 +56,8 @@ def run_group_rows(
 
     All requests must share a batch key.  Responses come back in request
     order, each bitwise-equal to :func:`solo_summary` of its request;
-    ``served`` metadata records which path (``array``, ``lane`` or
-    ``scalar`` for trees) the row rode and the flush size it was
+    ``served`` metadata records which path (``array``, or ``scalar``
+    for trees) the row rode and the flush size it was
     coalesced into.
 
     The second return value holds one registry-snapshot delta per row

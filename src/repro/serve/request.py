@@ -65,11 +65,12 @@ _TENANT_CHARS = frozenset(
 )
 _TENANT_MAX_LEN = 64
 
-#: Magnitude bounds for a nonzero deviant parameter.  Far outside them
-#: the scalar protocol's float tolerances start to misfire (a chain
-#: misbid by a factor of ~3e6 or more raises a spurious Phase II
-#: grievance, which the array path does not model), so the service
-#: refuses such specs at the wire.
+#: Magnitude bounds for a nonzero deviant parameter: wire policy.  Far
+#: outside them the protocol's float tolerances start to misfire (a
+#: chain misbid by a factor of ~3e6 or more fails a Phase II check on
+#: float cancellation alone); both engines reproduce that verdict, but
+#: it says nothing about the mechanism, so the service refuses such
+#: specs at the wire.
 DEVIANT_PARAM_RANGE = (1e-3, 1e3)
 
 #: The tree mechanism models the tamper-proof level: only rate and
@@ -291,8 +292,8 @@ class MechanismResponse:
 
     ``summary`` is the bitwise-contracted payload (see
     :data:`SUMMARY_FIELDS`); ``served`` carries serving metadata —
-    whether the run rode a stacked array lane, the lane engine or the
-    scalar tree mechanism, and the size of the flush it was coalesced
+    whether the run rode the stacked array path or the scalar tree
+    mechanism, and the size of the flush it was coalesced
     into — which is *not* part of the equality contract (a solo run has
     no batch to describe).
     """

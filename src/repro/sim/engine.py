@@ -5,9 +5,9 @@ by insertion order, so runs are fully deterministic.  Handlers may
 schedule further events.  The engine is deliberately small — the paper's
 timing model (Section 2, assumptions (i)–(iii)) has no queueing or
 contention beyond the one-port constraint, which the network models
-enforce at the call sites — but it is a real event loop: the linear-chain
-simulation, the audit process, and the failure-injection tests all run
-on it.
+enforce at the call sites — but it is a real event loop: the
+linear-chain simulation (:func:`~repro.sim.linear_sim.simulate_linear_chain`,
+the mechanism's Phase III) runs on it.
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ def _kernels() -> None:
 
 
 def _star_rows():
-    """A stacked star row, then a traced one on the lane engine."""
+    """A stacked star row, then a traced one on the scalar mechanism."""
     stacked = run_rows("star", 3, 0.5, [1], [None])
-    traced = run_rows("star", 3, 0.5, [2], ["2:contradict"], trace=True)
+    traced = run_rows("star", 3, 0.5, [2], ["2:contradict"], trace=True, span="rows")
     return SimpleNamespace(snapshots=stacked.snapshots + traced.snapshots)
 
 
@@ -56,12 +56,12 @@ RUN_KINDS = {
         lambda: run_population(3, 3, seed=1, use_batch=True),
         ["mech_batch", "mech_batch.phase_1.solve.batch_linear"],
     ),
-    # Only traced rows take the lane engine.
+    # A traced chain row runs the scalar mechanism under <span>.scalar.
     "lane_row": (
-        lambda: run_rows("chain", 3, 0.5, [1], ["3:miscompute"], trace=True),
-        ["mechanism", "mechanism.phase_4"],
+        lambda: run_rows("chain", 3, 0.5, [1], ["3:miscompute"], trace=True, span="rows"),
+        ["rows.scalar", "rows.scalar.mechanism", "mechanism.phase_4"],
     ),
-    "star_rows": (_star_rows, ["mech_batch_star", "mechanism_star"]),
+    "star_rows": (_star_rows, ["mech_batch_star", "rows.scalar.mechanism_star"]),
     "tree_row": (lambda: run_rows("tree", 3, 0.5, [1], [None]), ["mechanism_tree"]),
     "dls_lil": (_lil_run, ["mechanism_lil"]),
     "resilient_runtime": (
@@ -131,8 +131,8 @@ class TestSummaryFromSpans:
             "perf.mechanism.phase_1": _hist(2, 0.25),
             "perf.runtime.epoch.mechanism": _hist(1, 0.5),
             "perf.runtime.epoch.mechanism.phase_1": _hist(1, 0.125),
-            "perf.serve.flush.lane.mechanism": _hist(1, 0.5),
-            "perf.serve.flush.lane.mechanism.phase_1": _hist(1, 0.125),
+            "perf.experiments.X8.mechanism": _hist(1, 0.5),
+            "perf.experiments.X8.mechanism.phase_1": _hist(1, 0.125),
             "perf.mech_batch.phase_1": _hist(1, 9.0),
         }
         text = summarize_trace([], {"histograms": histograms})

@@ -124,6 +124,40 @@ class TestUnaryTreeEquivalence:
             )
 
 
+class TestRealizedMakespan:
+    """The reported makespan is when the *bid* allocation finishes at the
+    metered rates, not the optimum re-solved for the slowed tree."""
+
+    def test_slow_child_finishes_late(self):
+        # Bids [1, 1] over link 1 give the child 1/3 of the load, arriving
+        # at 1/3; computing it at rate 3 takes until 1/3 + 1 = 4/3.  The
+        # collapse re-solved at actual rates would report 0.8.
+        tree = TreeNetwork(root=TreeNode(w=1.0, children=[TreeNode(w=1.0, link=1.0)]))
+        outcome = TreeMechanism(tree, [SlowExecutionAgent(1, 1.0, slowdown=3.0)]).run()
+        assert outcome.makespan == pytest.approx(4.0 / 3.0)
+
+    @pytest.mark.parametrize("slow", [1, 2, 3])
+    def test_unary_tree_matches_chain_simulation(self, slow):
+        # A unary tree is a chain: its realized makespan is the one the
+        # chain mechanism's Phase III simulation measures.
+        from repro.mechanism.dls_lbl import DLSLBLMechanism
+        from repro.network.topology import LinearNetwork
+
+        net = LinearNetwork(w=[2.0, 3.0, 2.5, 4.0], z=[0.5, 0.3, 0.7])
+
+        def agents():
+            return [
+                SlowExecutionAgent(i, float(net.w[i]), slowdown=2.5)
+                if i == slow
+                else TruthfulAgent(i, float(net.w[i]))
+                for i in range(1, net.size)
+            ]
+
+        chain = DLSLBLMechanism(net.z, float(net.w[0]), agents(), audit_probability=1.0).run()
+        tree = TreeMechanism(TreeNetwork.from_linear(net), agents()).run()
+        assert tree.makespan == pytest.approx(chain.makespan)
+
+
 class TestConstruction:
     def test_agent_coverage(self, tree):
         with pytest.raises(InvalidNetworkError):

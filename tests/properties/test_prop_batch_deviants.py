@@ -1,21 +1,18 @@
-"""Differential harness: masked deviant lanes in the batch engine.
+"""Differential harness: deviant rows in the batch engine.
 
-:mod:`repro.mechanism.batch_run` claims the batched path — stacked
-arrays for conforming lanes plus masked lane mechanisms for divergent
-ones — is *bitwise* equal to the scalar protocol with **no scalar
-fallback**.  This module is the proof: reusable differential helpers
-(``assert_population_equivalent`` / ``assert_scenario_equivalent``)
-replay identical seeded workloads through both paths and compare every
+:mod:`repro.mechanism.batch_run` claims the stacked path is *bitwise*
+equal to the scalar protocol for every deviant kind.  This module is the
+proof: the reusable differential helper (``assert_population_equivalent``)
+replays identical seeded workloads through both paths and compares every
 observable with ``==`` — run summaries (payments, fines, verdicts),
 protocol counters, and trace *bytes* (via
 :func:`repro.obs.tracer.first_divergence`, which names the first
-mismatching event on failure) — then sweep them across the full
-:data:`~repro.faults.FAULT_KINDS` catalog on chains and stars, the
-population deviant catalog, and the X8 coalition replay.  The stacked
-path's deviant columns — ``shed``/``accuse`` verdicts, miscomputed and
-tampered Phase II values under the stacked G-message check — and its
-contradictions settled from the draw are swept against the lane engine
-row by row (``assert_rows_equal_lane_runs``).
+mismatching event on failure) — across the population deviant catalog.
+The stacked path's deviant columns — ``shed``/``accuse`` verdicts,
+miscomputed and tampered Phase II values under the stacked G-message
+check — and its contradictions settled from the draw are swept against
+the scalar mechanism's solo run row by row
+(``assert_rows_equal_solo_runs``).
 """
 
 from __future__ import annotations
@@ -26,9 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FAULT_KINDS, FaultSpec, ScenarioSpec
+from repro.faults import FaultSpec, ScenarioSpec
 from repro.faults.runner import run_scenario
-from repro.faults.spec import TOPOLOGY_KINDS
 from repro.mechanism.population import _DEVIANT_KINDS, run_population
 from repro.mechanism.rows import _solo_delta, run_rows
 from repro.obs.metrics import collecting
@@ -39,7 +35,7 @@ from repro.obs.tracer import events_to_jsonl, first_divergence
 
 def protocol_counters(snapshot):
     """The counters both paths must agree on.  ``crypto.*`` counters,
-    ``sim.*`` counters and wall-clock timers have no batched analogue;
+    ``sim.*`` counters and wall-clock timers have no stacked analogue;
     ``mechanism.scalar_fallbacks`` only exists on the batched path (the
     dedicated tests below pin it to zero)."""
     return {
@@ -80,71 +76,11 @@ def assert_population_equivalent(**kwargs):
     return scalar, batched
 
 
-def assert_scenario_equivalent(spec, *, seed=1, trace=False, runs=None):
-    """Run a fault scenario scalar and batched; assert bitwise equality
-    of run summaries (deviator verdicts, gains, fines), protocol
-    counters and trace bytes.  Returns both results."""
-    with collecting() as registry:
-        scalar = run_scenario(spec, seed=seed, trace=trace, runs=runs)
-        scalar_counters = protocol_counters(registry.snapshot())
-    with collecting() as registry:
-        batched = run_scenario(
-            spec, seed=seed, trace=trace, runs=runs, use_batch=True
-        )
-        batch_snapshot = registry.snapshot()
-    assert scalar.runs == batched.runs
-    assert scalar_counters == protocol_counters(batch_snapshot)
-    assert (
-        batch_snapshot.get("counters", {}).get("mechanism.scalar_fallbacks", 0) == 0
-    )
-    assert_traces_byte_equal(scalar.events, batched.events)
-    return scalar, batched
-
-
-def _catalog_cases():
-    """Every strategic fault kind x every batched topology."""
-    cases = []
-    for topology in ("linear", "star"):
-        for kind, info in FAULT_KINDS.items():
-            if info.layer != "strategic" or kind not in TOPOLOGY_KINDS[topology]:
-                continue
-            cases.append(pytest.param(topology, kind, id=f"{topology}-{kind}"))
-    return cases
-
-
-def _kind_scenario(topology, kind, m=3, runs=2):
-    target = 1 if FAULT_KINDS[kind].needs_successor else None
-    return ScenarioSpec(
-        name=f"diff-{topology}-{kind}",
-        faults=(FaultSpec(kind=kind, target=target),),
-        m=m,
-        runs=runs,
-        topology=topology,
-    )
-
-
 # -- the sweeps ------------------------------------------------------------
 
 
-class TestFaultCatalogDifferential:
-    """Every ``FAULT_KINDS`` strategic entry x {chain, star}: batched
-    runs bitwise-equal the scalar ones in payments, fines, verdicts and
-    metrics counters."""
-
-    @pytest.mark.parametrize("topology,kind", _catalog_cases())
-    def test_kind_bitwise_equal(self, topology, kind):
-        assert_scenario_equivalent(_kind_scenario(topology, kind))
-
-    @pytest.mark.parametrize(
-        "topology,kind",
-        [("linear", "shed"), ("linear", "meter_tamper"), ("star", "contradict")],
-    )
-    def test_traced_kind_byte_equal(self, topology, kind):
-        assert_scenario_equivalent(_kind_scenario(topology, kind), trace=True)
-
-
 class TestPopulationDeviantLanes:
-    """The population deviant catalog through the masked lane router."""
+    """The population deviant catalog through the row router."""
 
     @pytest.mark.parametrize("kind", _DEVIANT_KINDS)
     def test_uniform_deviant_bitwise_equal(self, kind):
@@ -155,7 +91,7 @@ class TestPopulationDeviantLanes:
         scalar, batched = assert_population_equivalent(
             m=4, count=2, seed=3, deviant=f"2:{kind}", trace=True
         )
-        assert batched.events  # lanes trace natively, never a stub
+        assert batched.events  # traced rows carry the scalar run's events
 
     def test_mixed_deviants_rotate_all_kinds(self):
         specs = [None, None] + [f"2:{kind}" for kind in _DEVIANT_KINDS]
@@ -205,13 +141,13 @@ def _specs(m, kinds):
     return st.lists(st.one_of(st.none(), spec), min_size=1, max_size=8)
 
 
-def assert_rows_equal_lane_runs(topology, m, q, seeds, specs):
-    """``run_rows`` against the lane engine's solo run of every row:
+def assert_rows_equal_solo_runs(topology, m, q, seeds, specs):
+    """``run_rows`` against the scalar solo run of every row:
     outcome fields, per-row counter snapshots and the grievance counters
     compared with ``==``.  Returns the rows."""
     rows = run_rows(topology, m, q, seeds, specs)
     for i, (seed, spec) in enumerate(zip(seeds, specs)):
-        fields, _events, snapshot = _solo_delta(topology, m, seed, q, spec, "lane", False)
+        fields, _events, snapshot = _solo_delta(topology, m, seed, q, spec, False)
         assert rows.fields[i] == fields, (topology, m, q, seed, spec)
         got, want = protocol_counters(rows.snapshots[i]), protocol_counters(snapshot)
         assert got == want, (topology, m, q, seed, spec)
@@ -222,7 +158,7 @@ def assert_rows_equal_lane_runs(topology, m, q, seeds, specs):
 
 class TestArrayVerdictsDifferential:
     """The stacked engines' ``shed``/``accuse`` verdict columns against
-    the lane engine, row by row: a terminal shed is a no-op, ``1:accuse``
+    the scalar mechanism, row by row: a terminal shed is a no-op, ``1:accuse``
     accuses the root, a sub-block shed is grieved only when its Λ
     certificate proves it."""
 
@@ -234,10 +170,10 @@ class TestArrayVerdictsDifferential:
         seed=st.integers(min_value=0, max_value=2**32),
         data=st.data(),
     )
-    def test_shed_and_accuse_rows_equal_lane_runs(self, topology, m, q, seed, data):
+    def test_shed_and_accuse_rows_equal_solo_runs(self, topology, m, q, seed, data):
         specs = data.draw(_specs(m, VERDICT_KINDS))
         seeds = [seed + k for k in range(len(specs))]
-        rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+        rows = assert_rows_equal_solo_runs(topology, m, q, seeds, specs)
         assert rows.engines == ["array"] * len(specs)
 
     @settings(max_examples=40, deadline=None)
@@ -248,10 +184,10 @@ class TestArrayVerdictsDifferential:
         seed=st.integers(min_value=0, max_value=2**32),
         data=st.data(),
     )
-    def test_mixed_stacks_of_all_kinds_equal_lane_runs(self, topology, m, q, seed, data):
+    def test_mixed_stacks_of_all_kinds_equal_solo_runs(self, topology, m, q, seed, data):
         specs = data.draw(_specs(m, _DEVIANT_KINDS + VERDICT_KINDS + ABORT_KINDS))
         seeds = [seed + k for k in range(len(specs))]
-        assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+        assert_rows_equal_solo_runs(topology, m, q, seeds, specs)
 
     @pytest.mark.parametrize("topology", ["chain", "star"])
     def test_every_index_and_fraction(self, topology):
@@ -261,7 +197,7 @@ class TestArrayVerdictsDifferential:
             specs = [f"{i}:{kind}" for i in range(1, m + 1) for kind in VERDICT_KINDS]
             seeds = list(range(100 * m, 100 * m + len(specs)))
             for q in (0.25, 1.0):
-                rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+                rows = assert_rows_equal_solo_runs(topology, m, q, seeds, specs)
                 assert rows.engines == ["array"] * len(specs)
 
     def test_chain_sweep_exercises_both_verdicts(self):
@@ -280,8 +216,8 @@ class TestArrayVerdictsDifferential:
 
 class TestArrayAbortsDifferential:
     """Contradictory bids (settled from the draw), miscomputed ``w_bar``
-    and tampered ``D`` (the stacked Phase II check) against the lane
-    engine, row by row: Phase I and Phase II aborts, terminal no-ops and
+    and tampered ``D`` (the stacked Phase II check) against the scalar
+    mechanism, row by row: Phase I and Phase II aborts, terminal no-ops and
     factors close enough to 1 that the run completes."""
 
     @settings(max_examples=80, deadline=None)
@@ -295,7 +231,7 @@ class TestArrayAbortsDifferential:
     def test_abort_kinds_rows_equal_lane_runs(self, topology, m, q, seed, data):
         specs = data.draw(_specs(m, ABORT_KINDS))
         seeds = [seed + k for k in range(len(specs))]
-        rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+        rows = assert_rows_equal_solo_runs(topology, m, q, seeds, specs)
         assert rows.engines == ["array"] * len(specs)
 
     @settings(max_examples=40, deadline=None)
@@ -309,7 +245,7 @@ class TestArrayAbortsDifferential:
     )
     def test_one_row_calls_equal_lane_runs(self, topology, m, q, seed, kind, data):
         index = data.draw(st.integers(min_value=1, max_value=m))
-        assert_rows_equal_lane_runs(topology, m, q, [seed], [f"{index}:{kind}"])
+        assert_rows_equal_solo_runs(topology, m, q, [seed], [f"{index}:{kind}"])
 
     @pytest.mark.parametrize("topology", ["chain", "star"])
     def test_every_index_and_factor(self, topology):
@@ -317,7 +253,7 @@ class TestArrayAbortsDifferential:
             specs = [f"{i}:{kind}" for i in range(1, m + 1) for kind in ABORT_KINDS]
             seeds = list(range(300 * m, 300 * m + len(specs)))
             for q in (0.25, 1.0):
-                rows = assert_rows_equal_lane_runs(topology, m, q, seeds, specs)
+                rows = assert_rows_equal_solo_runs(topology, m, q, seeds, specs)
                 assert rows.engines == ["array"] * len(specs)
 
     def test_chain_sweep_exercises_every_outcome(self):
@@ -336,19 +272,20 @@ class TestArrayAbortsDifferential:
     def test_all_abort_stack_runs_no_solve(self, topology):
         specs = [f"{1 + k % 3}:contradict" for k in range(5)]
         with collecting() as registry:
-            rows = assert_rows_equal_lane_runs(topology, 3, 0.25, list(range(5)), specs)
+            rows = assert_rows_equal_solo_runs(topology, 3, 0.25, list(range(5)), specs)
             counters = registry.snapshot()["counters"]
         assert not [name for name in counters if name.startswith("dlt.batch.")]
         assert not any(fields["completed"] for fields in rows.fields)
 
-    def test_untraced_rows_never_reach_the_lane_engine(self, monkeypatch):
-        from repro.mechanism import batch_run
+    def test_untraced_rows_never_reach_the_scalar_mechanisms(self, monkeypatch):
+        from repro.mechanism.dls_lbl import DLSLBLMechanism
+        from repro.mechanism.star_mechanism import StarMechanism
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an untraced row reached the lane engine")
+            raise AssertionError("an untraced row built a scalar mechanism")
 
-        monkeypatch.setattr(batch_run.LaneChainMechanism, "__init__", refuse)
-        monkeypatch.setattr(batch_run.LaneStarMechanism, "__init__", refuse)
+        monkeypatch.setattr(DLSLBLMechanism, "__init__", refuse)
+        monkeypatch.setattr(StarMechanism, "__init__", refuse)
         specs = [None] + [f"2:{kind}" for kind in _DEVIANT_KINDS]
         for topology in ("chain", "star"):
             rows = run_rows(topology, 4, 0.25, list(range(len(specs))), specs)
@@ -362,14 +299,14 @@ class TestMisbidPhase2Gap:
 
     @pytest.mark.parametrize("spec", ["1:misbid:1e7", "2:misbid:1e7", "4:misbid:1e7"])
     def test_array_verdicts_equal_lane_runs(self, spec):
-        rows = assert_rows_equal_lane_runs("chain", 4, 0.25, list(range(40)), [spec] * 40)
+        rows = assert_rows_equal_solo_runs("chain", 4, 0.25, list(range(40)), [spec] * 40)
         assert any(fields["aborted_phase"] == 2 for fields in rows.fields)
         assert any(fields["completed"] for fields in rows.fields)
 
 
 class TestScalarFallbackCounter:
-    """``mechanism.scalar_fallbacks`` reads 0 for everything the engine
-    covers and counts the genuine gaps (trees, infrastructure runs)."""
+    """``mechanism.scalar_fallbacks`` reads 0 for every chain and star
+    row and counts the genuine gap: tree rows."""
 
     def test_full_deviant_suite_reads_zero(self):
         specs = [f"{1 + (i % 3)}:{kind}" for i, kind in enumerate(_DEVIANT_KINDS)]
@@ -381,48 +318,20 @@ class TestScalarFallbackCounter:
             counters = registry.snapshot().get("counters", {})
         assert counters.get("mechanism.scalar_fallbacks", 0) == 0
 
-    def test_fault_catalog_suite_reads_zero(self):
-        with collecting() as registry:
-            for topology in ("linear", "star"):
-                for kind in ("misbid", "shed", "contradict"):
-                    run_scenario(
-                        _kind_scenario(topology, kind, runs=1),
-                        seed=1,
-                        use_batch=True,
-                    )
-            counters = registry.snapshot().get("counters", {})
-        assert counters.get("mechanism.scalar_fallbacks", 0) == 0
-
     def test_tree_topology_counts_fallbacks(self):
-        spec = ScenarioSpec(
-            name="diff-tree-fallback",
-            faults=(FaultSpec(kind="misbid"),),
-            m=3,
-            runs=1,
-            topology="tree",
-        )
         with collecting() as registry:
-            run_scenario(spec, seed=1, use_batch=True)
+            rows = run_rows("tree", 3, 0.25, [1, 2], ["2:misbid", None])
             counters = registry.snapshot().get("counters", {})
-        assert counters.get("mechanism.scalar_fallbacks", 0) > 0
-
-    def test_infrastructure_counts_fallbacks(self):
-        spec = ScenarioSpec(
-            name="diff-infra-fallback",
-            faults=(FaultSpec(kind="net_drop"),),
-            m=3,
-            runs=1,
-            topology="linear",
-        )
-        with collecting() as registry:
-            run_scenario(spec, seed=1, use_batch=True)
-            counters = registry.snapshot().get("counters", {})
-        assert counters.get("mechanism.scalar_fallbacks", 0) > 0
+        assert rows.engines == ["scalar", "scalar"]
+        assert counters.get("mechanism.scalar_fallbacks", 0) == 2
 
     def test_scalar_paths_never_emit_the_counter(self):
         with collecting() as registry:
             run_population(m=4, count=2, seed=2, deviant="2:shed:0.5")
-            run_scenario(_kind_scenario("linear", "shed", runs=1), seed=1)
+            run_scenario(
+                ScenarioSpec(name="diff-shed", faults=(FaultSpec(kind="shed"),), m=3, runs=1),
+                seed=1,
+            )
             counters = registry.snapshot().get("counters", {})
         assert "mechanism.scalar_fallbacks" not in counters
 
@@ -479,15 +388,3 @@ class TestGoldenDeviantTrace:
         assert {"grievance", "fine", "audit", "ledger_transfer"} <= kinds
         assert sum(1 for e in events if e.kind == "grievance") >= 5
 
-
-class TestX8CoalitionReplay:
-    """The X8 shedder/silent-victim coalition replays identically on the
-    lane engine — surpluses, betrayal payoffs, verdicts, all bitwise."""
-
-    def test_x8_bitwise_equal(self):
-        from repro.experiments.exp_x8_collusion import run_x8_collusion
-
-        scalar = run_x8_collusion()
-        batched = run_x8_collusion(use_batch=True)
-        assert scalar.passed and batched.passed
-        assert [t.rows for t in scalar.tables] == [t.rows for t in batched.tables]

@@ -339,7 +339,7 @@ class TestStarRowsDifferential:
         rows = run_rows("star", m, 0.5, seeds, self.SPECS)
         assert rows.engines == ["array"] * len(self.SPECS)
         for i, (seed, spec) in enumerate(zip(seeds, self.SPECS)):
-            fields, _events, snapshot = _solo_delta("star", m, seed, 0.5, spec, "scalar", False)
+            fields, _events, snapshot = _solo_delta("star", m, seed, 0.5, spec, False)
             assert rows.fields[i] == fields
             assert _protocol_counters(rows.snapshots[i]) == _protocol_counters(snapshot)
 
@@ -398,11 +398,15 @@ class TestPopulationBatchPath:
     def test_trace_runs_batch_native_byte_equal(self):
         from repro.obs.tracer import events_to_jsonl
 
-        kwargs = dict(m=3, count=2, seed=5, trace=True)
-        scalar = run_population(**kwargs)
-        batched = run_population(use_batch=True, **kwargs)
-        assert batched.events  # the lane path traces natively
+        kwargs = dict(m=3, count=4, seed=5, trace=True, deviants=[None, "2:shed", "1:tamper", None])
+        with collecting():
+            scalar = run_population(**kwargs)
+        with collecting():
+            batched = run_population(use_batch=True, **kwargs)
+        assert batched.events  # traced rows run the scalar mechanism
         assert events_to_jsonl(batched.events) == events_to_jsonl(scalar.events)
+        # Every counter, crypto.* and sim.* included, not only the protocol's.
+        assert batched.metrics["counters"] == scalar.metrics["counters"]
 
 
 class TestRngPreShaping:

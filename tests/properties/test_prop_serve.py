@@ -200,25 +200,17 @@ class TestCoalescedEngine:
             assert tuple(summary) == SUMMARY_FIELDS
             assert json.loads(json.dumps(summary)) == summary
 
-    def test_lane_engine_is_bitwise_equal_reference(self):
-        # The lane mechanisms are the scalar protocol behind seams; the
-        # engine leans on that equality for every grievance-lane row.
-        for topology in ("chain", "star"):
-            for deviant in (None, "2:shed", "1:accuse", "2:tamper"):
-                request = MechanismRequest(topology=topology, m=4, seed=21, deviant=deviant)
-                assert solo_summary(request, engine="lane") == solo_summary(request)
-
     def test_coalesced_counters_match_solo_loop(self):
         # The dispatcher merges per-row protocol-counter snapshots in
         # request order; integer-valued mechanism.* totals must equal a
-        # solo lane loop over the same requests.
+        # solo loop over the same requests.
         requests = mixed_workload(12, seed=13, sizes=(3, 4))
         with collecting() as coalesced:
             _serve(requests, FlushPolicy())
         with collecting() as solo:
             for request in requests:
                 with collecting():
-                    solo_summary(request, engine="lane")
+                    solo_summary(request)
         mech_coalesced = {
             k: v
             for k, v in coalesced.snapshot()["counters"].items()
@@ -274,7 +266,7 @@ class TestTreeTopology:
         with collecting() as solo:
             for request in requests:
                 with collecting():
-                    solo_summary(request, engine="lane")
+                    solo_summary(request)
         drop = {"mechanism.scalar_fallbacks"}
         mech_coalesced = {
             k: v

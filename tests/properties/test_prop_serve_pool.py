@@ -131,7 +131,7 @@ class TestPoolParity:
         with collecting() as solo:
             for request in requests:
                 with collecting():
-                    solo_summary(request, engine="lane")
+                    solo_summary(request)
         solo_counters = {
             name: value
             for name, value in solo.snapshot()["counters"].items()

@@ -9,7 +9,7 @@ out-of-range deviant param, an unknown topology).  Three properties:
 - every valid request's summary equals :func:`solo_summary`, whatever
   its neighbours in the flush are;
 - the folded ``mechanism.*``/``ledger.*`` counter deltas equal a solo
-  lane loop over the valid requests (``mechanism.scalar_fallbacks`` is
+  loop over the valid requests (``mechanism.scalar_fallbacks`` is
   engine overhead a solo caller never counts, so it is left out).
 
 Inline serving is fuzzed; one fixed example runs behind one worker
@@ -116,7 +116,7 @@ def _check(lines: list, workers: int = 0) -> None:
     with collecting() as solo:
         for i in sorted(valid):
             with collecting():
-                solo_summary(valid[i], engine="lane")
+                solo_summary(valid[i])
 
     # Exactly one response per line: the id-less ones answer the lines
     # the service cannot attribute (bad JSON, a non-object).
