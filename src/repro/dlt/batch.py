@@ -64,11 +64,14 @@ def _validate_stack(w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise InvalidNetworkError(
             f"stacked z must have shape {(w_arr.shape[0], w_arr.shape[1] - 1)}, got {z_arr.shape}"
         )
+    # Valid iff every rate lies in (0, inf): a NaN fails both bounds.
+    if 0.0 < w_arr.min() and w_arr.max() < np.inf and (
+        not z_arr.size or (0.0 < z_arr.min() and z_arr.max() < np.inf)
+    ):
+        return w_arr, z_arr
     if not (np.all(np.isfinite(w_arr)) and np.all(np.isfinite(z_arr))):
         raise InvalidNetworkError("stacked rates must be finite")
-    if np.any(w_arr <= 0.0) or (z_arr.size and np.any(z_arr <= 0.0)):
-        raise InvalidNetworkError("stacked rates must be strictly positive")
-    return w_arr, z_arr
+    raise InvalidNetworkError("stacked rates must be strictly positive")
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,13 @@ def backward_pass(w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     alpha_hat = np.empty_like(w_arr)
     w_eq = np.empty_like(w_arr)
     alpha_hat[..., m] = 1.0
-    w_eq[..., m] = w_arr[..., m]
-    prev = np.array(w_arr[..., m])
+    prev = w_eq[..., m]
+    prev[...] = w_arr[..., m]
     for i in range(m - 1, -1, -1):
         tail = prev + z_arr[..., i]
-        hat = tail / (w_arr[..., i] + tail)
-        alpha_hat[..., i] = hat
-        prev = hat * w_arr[..., i]
-        w_eq[..., i] = prev
+        w_i = w_arr[..., i]
+        hat = np.divide(tail, w_i + tail, out=alpha_hat[..., i])
+        prev = np.multiply(hat, w_i, out=w_eq[..., i])
     return alpha_hat, w_eq
 
 
@@ -111,8 +110,10 @@ def alpha_from_alpha_hat(alpha_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     once.
     """
     hat = np.asarray(alpha_hat, dtype=np.float64)
-    ones = np.ones(hat.shape[:-1] + (1,), dtype=np.float64)
-    received = np.concatenate((ones, np.cumprod(1.0 - hat[..., :-1], axis=-1)), axis=-1)
+    received = np.empty_like(hat)
+    received[..., 0] = 1.0
+    shares = np.subtract(1.0, hat[..., :-1], out=received[..., 1:])
+    np.cumprod(shares, axis=-1, out=shares)
     return received * hat, received
 
 

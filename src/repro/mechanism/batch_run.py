@@ -45,6 +45,19 @@ transcribing the scalar arithmetic *verbatim*, not just equivalently:
   :class:`~repro.mechanism.ledger.PaymentLedger`, Phase III grievance
   and meter fines first.
 
+**Fixed cost.**  A call's cost is a count of small whole-stack NumPy
+operations, paid once however many rows share the stack, so one
+implementation serves a one-row serve flush and a 1024-row population
+alike.  The operations loop over the chain axis only where the protocol
+is sequential: the backward solve, the ``D_i`` cascade, the retention
+plan and the ledger fold's row adds.  The chain's Phase III flow is
+closed-form (retentions never exceed arrivals, so the flowing load is
+``received_actual`` until the load threshold cuts it), Phase IV settles
+the provable payment and the audit recomputation in one
+:func:`~repro.mechanism.payments.payment_breakdown_batch` call over a
+leading sides axis, and the ledger folds one ``(2m+1, 4, N)`` entry
+buffer (:func:`_ledger_mirrors`).
+
 Audit randomness comes in as a pre-shaped ``(runs, n)`` draw block —
 ``Generator.random((runs, n))`` consumes the PCG64 stream exactly like
 ``runs * n`` sequential scalar draws, so callers can hand the engine the
@@ -73,6 +86,7 @@ perf spans time the stacked call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -179,30 +193,38 @@ def _ledger_mirrors(
     order so the floats match the scalar
     :class:`~repro.mechanism.ledger.PaymentLedger` bitwise (``a - b`` is
     IEEE-identical to ``a + (-b)``, which covers the negative-bill
-    direction flip).  The one column fold also yields each run's
+    direction flip).  The one fold also yields each run's
     ``ledger.volume`` and ``mechanism.fine_volume`` counter deltas.
     ``aborted`` runs never reach Phase IV: the caller zeroes their root
     pay, bills and audit fines, and they count only their ``phase3``
     entries as transfers.
+
+    The four aggregates (``volume``, ``fines_total``, the mechanism's
+    balance and ``fine_volume``) fold as one ``(2m+1, 4, N)`` buffer:
+    row 0 holds their opening values (the ``phase3`` entries and the
+    root reimbursement), then per agent its bill entry and its audit
+    fine, added row by row (``acc += row``) over contiguous ``N``-long
+    rows.  An entry an aggregate skips — an unfined agent, a
+    non-negative bill's ``fines_total`` share — folds in as ``+0.0``,
+    the identity here: every aggregate starts at ``+0.0``, and an IEEE
+    sum is ``-0.0`` only when both terms are, so none is ever ``-0.0``.
 
     Returns the outcome fields ``balances``, ``fines_total``,
     ``mechanism_outlay``, ``volume``, ``fine_volume``, ``fine_entries``
     (``mechanism.fines`` per run) and ``transfers`` (``ledger.transfers``
     per run).
     """
-    n_agents = billed.shape[1]
-    # The scalar ledger's entry amount: the bill, or -bill when the
-    # direction flips (a -0.0 bill stays -0.0, unlike np.abs).
-    abs_bill = np.where(billed >= 0.0, billed, -billed)
-    fine_entries = np.count_nonzero(audit_fines > 0.0, axis=1)
+    n_runs, n_agents = billed.shape
+    fined = audit_fines > 0.0
+    fine_entries = fined.sum(axis=1)
     transfers = 1 + n_agents + fine_entries
     if aborted is not None:
         transfers[aborted] = 0
+    entries = np.empty((2 * n_agents + 1, 4, n_runs))
+    acc = entries[0]
+    acc.fill(0.0)
+    volume, fines_total, outlay_balance, fine_volume = acc[0], acc[1], acc[2], acc[3]
     opening = np.zeros(billed.shape) if phase3 else 0.0
-    volume = np.zeros_like(root_pay)
-    fine_volume = np.zeros_like(root_pay)
-    fines_total = np.zeros_like(root_pay)
-    outlay_balance = np.zeros_like(root_pay)
     for entry in phase3:
         rows, amount = entry.rows, entry.amount
         agent = entry.party > 0  # the root has no agent column
@@ -220,20 +242,22 @@ def _ledger_mirrors(
             outlay_balance[rows] = outlay_balance[rows] - amount
             opening[cells] = opening[cells] + amount[agent]
     balances = opening + billed
-    balances = np.where(audit_fines > 0.0, balances - audit_fines, balances)
-    volume = volume + root_pay
-    outlay_balance = outlay_balance - root_pay
-    for i in range(n_agents):
-        bill = billed[:, i]
-        volume = volume + abs_bill[:, i]
-        fines_total = np.where(bill < 0.0, fines_total + (-bill), fines_total)
-        outlay_balance = outlay_balance - bill
-        f = audit_fines[:, i]
-        fined = f > 0.0
-        volume = np.where(fined, volume + f, volume)
-        fine_volume = np.where(fined, fine_volume + f, fine_volume)
-        fines_total = np.where(fined, fines_total + f, fines_total)
-        outlay_balance = np.where(fined, outlay_balance + f, outlay_balance)
+    np.subtract(balances, audit_fines, out=balances, where=fined)
+    volume += root_pay
+    outlay_balance -= root_pay
+    # Per agent, the bill entry: the scalar ledger's amount (the bill, or
+    # -bill when the direction flips; a -0.0 bill stays -0.0, unlike
+    # np.abs), a negative bill's credit to the mechanism, the outlay.
+    bills = billed.T
+    bill_rows = entries[1::2]
+    negated = np.negative(bills, out=bill_rows[:, 2])
+    bill_rows[:, 0] = np.where(bills >= 0.0, bills, negated)
+    bill_rows[:, 1] = np.where(bills < 0.0, negated, 0.0)
+    bill_rows[:, 3] = 0.0
+    # Then its audit fine, credited to every aggregate.
+    entries[2::2] = np.where(fined, audit_fines, 0.0).T[:, None, :]
+    for row in entries[1:]:
+        acc += row
     return {
         "balances": balances,
         "fines_total": fines_total,
@@ -292,7 +316,7 @@ def _chain_grievances(
     suspect = over.any(axis=1)
     if accuse is not None:
         suspect |= accuse.any(axis=1)
-    rows = np.flatnonzero(suspect & ~aborted)
+    rows = (suspect & ~aborted).nonzero()[0]
     if rows.size == 0:
         return grievances, substantiated, ()
 
@@ -700,10 +724,8 @@ def run_chain_batch(
         with perf_span("phase_1"):
             schedule = solve_linear_batch(full_bids, z)
             w_bar = schedule.w_eq
-            alpha_hat = np.empty_like(w_bar)
-            alpha_hat[:, m] = 1.0
-            if m > 1:
-                alpha_hat[:, 1:m] = w_bar[:, 1:m] / full_bids[:, 1:m]
+            # The terminal's w_bar is its bid, so its column divides to 1.0.
+            alpha_hat = w_bar / full_bids
             alpha_hat[:, 0] = schedule.alpha_hat[:, 0]
             if miscompute is not None:
                 # Runs with a miscomputing interior agent re-run the
@@ -734,8 +756,8 @@ def run_chain_batch(
             aborted = ~checks.all(axis=1) if any_aborted else np.zeros(n_runs, dtype=bool)
             assigned = received * alpha_hat * load
 
-        # ---- Phase III: honest retention plan, then the event-driven
-        # cascade (store-and-forward with the simulator's load threshold).
+        # ---- Phase III: honest retention plan, then the store-and-forward
+        # cascade with the simulator's load threshold.
         with perf_span("phase_3"):
             exec_arr = (
                 true_rates
@@ -744,29 +766,34 @@ def run_chain_batch(
             )
             actual = np.maximum(exec_arr, true_rates)
             rates_full = np.concatenate((w[:, :1], actual), axis=1)
-            shed_arr = None if shed is None else _as_matrix("shed", shed, (n_runs, m))
+            if shed is not None:
+                shed_arr = _as_matrix("shed", shed, (n_runs, m))
+                honest = np.isnan(shed_arr)
+                kept = 1.0 - shed_arr
             accuse_arr = None if accuse is None else _as_matrix("accuse", accuse, (n_runs, m), bool)
 
-            retained = np.zeros_like(w_bar)
-            received_actual = np.zeros_like(w_bar)
-            received_actual[:, 0] = load
-            retained[:, 0] = assigned[:, 0]
-            for i in range(1, m + 1):
-                received_actual[:, i] = received_actual[:, i - 1] - retained[:, i - 1]
-                if i == m:
-                    retained[:, i] = received_actual[:, i]
-                else:
-                    expected_forward = received[:, i + 1] * load
-                    choice = np.maximum(received_actual[:, i] - expected_forward, 0.0)
-                    if shed_arr is not None:
-                        f = shed_arr[:, i - 1]
-                        choice = np.where(
-                            np.isnan(f), choice, (1.0 - f) * np.minimum(assigned[:, i], choice)
-                        )
-                    retained[:, i] = np.clip(choice, 0.0, received_actual[:, i])
+            expected = received * load
+            retained = np.empty_like(w_bar)
+            received_actual = np.empty_like(w_bar)
+            # Column i of each (N, m+1) matrix is row i of its transpose.
+            flow, kept_load, ahead = received_actual.T, retained.T, expected.T
+            flow[0] = load
+            kept_load[0] = assigned[:, 0]
+            for i in range(1, m):
+                arrived = np.subtract(flow[i - 1], kept_load[i - 1], out=flow[i])
+                choice = np.maximum(arrived - ahead[i + 1], 0.0)
+                if shed is not None:
+                    choice = np.where(
+                        honest[:, i - 1],
+                        choice,
+                        kept[:, i - 1] * np.minimum(assigned[:, i], choice),
+                    )
+                choice.clip(0.0, arrived, out=kept_load[i])
+            np.subtract(flow[m - 1], kept_load[m - 1], out=flow[m])
+            kept_load[m] = flow[m]
 
             grievances, substantiated, phase3 = _chain_grievances(
-                received_actual[:, 1:], received[:, 1:] * load, actual, fine_arr, accuse_arr, aborted
+                received_actual[:, 1:], expected[:, 1:], actual, fine_arr, accuse_arr, aborted
             )
             if any_aborted:
                 # The failed check's grievance, upheld on re-check: the
@@ -782,21 +809,19 @@ def run_chain_batch(
                 grievances[rows] = 1
                 substantiated[rows] = True
 
-            computed = np.zeros_like(w_bar)
-            arrival = np.zeros_like(w_bar)
-            flowing = np.full(n_runs, load)
-            now = np.zeros(n_runs)
-            alive = np.ones(n_runs, dtype=bool)
-            for p in range(m + 1):
-                keep = flowing if p == m else np.minimum(retained[:, p], flowing)
-                computed[:, p] = np.where(alive & (keep > _EPS_LOAD), keep, 0.0)
-                arrival[:, p] = np.where(alive, now, 0.0)
-                if p < m:
-                    forward = flowing - keep
-                    sent = alive & (forward > _EPS_LOAD)
-                    now = np.where(sent, now + forward * z[:, p], 0.0)
-                    flowing = np.where(sent, forward, 0.0)
-                    alive = sent
+            # Every retention is clipped to what arrived and the root keeps
+            # alpha_hat_0 * load <= load, so while a run's load still flows
+            # it is exactly received_actual: the load reaches P_i iff every
+            # hop before it carried more than the threshold, each processor
+            # computes its retention, and the arrival times are the running
+            # sums of the hops' transfer times.
+            alive = np.empty((n_runs, m + 1), dtype=bool)
+            alive[:, 0] = True
+            np.logical_and.accumulate(received_actual[:, 1:] > _EPS_LOAD, axis=1, out=alive[:, 1:])
+            computed = np.where(alive & (retained > _EPS_LOAD), retained, 0.0)
+            arrival = np.zeros(w_bar.shape)
+            np.multiply(received_actual[:, 1:], z, out=arrival[:, 1:])
+            arrival = np.where(alive, np.cumsum(arrival, axis=1, out=arrival), 0.0)
             ends = np.where(computed > 0.0, arrival + computed * rates_full, 0.0)
             makespan = ends.max(axis=1)
             if any_aborted:
@@ -804,44 +829,43 @@ def run_chain_batch(
                 computed[aborted] = 0.0
                 makespan[aborted] = np.nan
 
-        # ---- Phase IV: provable payments from the mechanism's own
-        # arrays, then the audit recomputation with the proof-side
-        # alpha_hat (left-associative denominator, verbatim).
+        # ---- Phase IV: one payment pass over two sides — the provable
+        # payments from the mechanism's own arrays, and the audit
+        # recomputation with the proof-side alpha_hat (left-associative
+        # denominator, verbatim).
         with perf_span("phase_4"):
-            correct_bd = payment_breakdown_batch(
-                schedule,
-                computed=computed[:, 1:],
-                actual_rates=actual,
-                assigned=assigned[:, 1:],
-                alpha_hat=alpha_hat[:, 1:],
-            )
-            correct_q = correct_bd.payment
-            if bill_overcharge is None:
-                billed = correct_q
-            else:
-                over = _as_matrix("bill_overcharge", bill_overcharge, (n_runs, m))
-                billed = np.where(over != 0.0, correct_q + over, correct_q)
-
-            audit_alpha_hat = np.empty((n_runs, m))
+            sides = np.empty((3, 2, n_runs, m))
+            side_assigned, side_alpha_hat, side_w_bar = sides
+            side_alpha_hat[0] = alpha_hat[:, 1:]
+            side_w_bar[0] = w_bar[:, 1:]
+            audit_alpha_hat, audit_w_bar = side_alpha_hat[1], side_w_bar[1]
             audit_alpha_hat[:, m - 1] = 1.0
-            audit_w_bar = np.empty((n_runs, m))
             audit_w_bar[:, m - 1] = full_bids[:, m]
             if m > 1:
                 w_bar_next = w_bar[:, 2:]
                 z_next = z[:, 1:]
                 own_bid = full_bids[:, 1:m]
-                hat = (w_bar_next + z_next) / (own_bid + w_bar_next + z_next)
-                audit_alpha_hat[:, : m - 1] = hat
-                audit_w_bar[:, : m - 1] = hat * own_bid
-            audit_assigned = received[:, 1:] * audit_alpha_hat * load
-            recomputed_q = payment_breakdown_batch(
+                hat = np.divide(
+                    w_bar_next + z_next,
+                    own_bid + w_bar_next + z_next,
+                    out=audit_alpha_hat[:, : m - 1],
+                )
+                np.multiply(hat, own_bid, out=audit_w_bar[:, : m - 1])
+            side_assigned[0] = assigned[:, 1:]
+            np.multiply(received[:, 1:] * audit_alpha_hat, load, out=side_assigned[1])
+            correct_q, recomputed_q = payment_breakdown_batch(
                 schedule,
                 computed=computed[:, 1:],
                 actual_rates=actual,
-                assigned=audit_assigned,
-                alpha_hat=audit_alpha_hat,
-                w_bar=audit_w_bar,
+                assigned=side_assigned,
+                alpha_hat=side_alpha_hat,
+                w_bar=side_w_bar,
             ).payment
+            if bill_overcharge is None:
+                billed = correct_q
+            else:
+                over = _as_matrix("bill_overcharge", bill_overcharge, (n_runs, m))
+                billed = np.where(over != 0.0, correct_q + over, correct_q)
 
             challenged = _challenges(audit_draws, q, (n_runs, m))
             root_pay = assigned[:, 0] * w[:, 0]
@@ -892,24 +916,31 @@ def run_chain_batch(
     return outcome
 
 
-def _star_alpha_batch(w: np.ndarray, z: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _star_shares(
+    root_w: np.ndarray, served_w: np.ndarray, served_z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-row equal-finish star allocation, bitwise-equal to
-    :func:`~repro.dlt.star._alpha_for_order`.
+    :func:`~repro.dlt.star._alpha_for_order`: from the root's rate and
+    the children's rates and links in service order, the root's share
+    ``alpha_0`` and the served children's ratios to it (the ``k``-th
+    served child gets ``alpha_0 * ratios[:, k]``).
 
     Identical to :func:`~repro.dlt.star.star_alpha_kernel` except for the
     normalization, which must be a per-row ``math.fsum`` to match the
     scalar solver (``ndarray.sum`` pairs differently for n >= 8)."""
-    served_w = np.take_along_axis(w, cols, axis=1)
-    prev_w = np.concatenate((w[:, :1], served_w[:, :-1]), axis=1)
-    denom = np.take_along_axis(z, cols - 1, axis=1) + served_w
-    ratios = np.cumprod(prev_w / denom, axis=1)
-    alpha = np.empty_like(w)
-    alpha0 = np.empty(w.shape[0])
-    for r in range(w.shape[0]):
-        alpha0[r] = 1.0 / (1.0 + math.fsum(ratios[r]))
-    alpha[:, 0] = alpha0
-    np.put_along_axis(alpha, cols, alpha0[:, None] * ratios, axis=1)
-    return alpha
+    prev_w = np.concatenate((root_w[:, None], served_w[:, :-1]), axis=1)
+    ratios = np.cumprod(prev_w / (served_z + served_w), axis=1)
+    alpha0 = 1.0 / (1.0 + np.array([math.fsum(r) for r in ratios.tolist()]))
+    return alpha0, ratios
+
+
+@functools.lru_cache(maxsize=64)
+def _drop_one(n: int) -> np.ndarray:
+    """``(n, n-1)`` column indices: row ``s`` lists ``0 .. n-1`` without ``s``."""
+    keep = np.arange(1, n)
+    drop = keep - (keep <= np.arange(n)[:, None])
+    drop.flags.writeable = False
+    return drop
 
 
 def run_star_batch(
@@ -963,7 +994,14 @@ def run_star_batch(
         # Service order: non-decreasing link time, stable per row — the
         # public bid-independent optimum the scalar mechanism uses.
         orders = np.argsort(z, axis=1, kind="stable") + 1
-        alpha = _star_alpha_batch(full_bids, z, orders)
+        runs = np.arange(n_runs)[:, None]
+        served_w = full_bids[runs, orders]
+        served_z = z[runs, orders - 1]
+        alpha0, ratios = _star_shares(full_bids[:, 0], served_w, served_z)
+        alpha_served = alpha0[:, None] * ratios
+        alpha = np.empty_like(full_bids)
+        alpha[:, 0] = alpha0
+        alpha[runs, orders] = alpha_served
         assigned = alpha * load
 
         exec_arr = (
@@ -995,30 +1033,26 @@ def run_star_batch(
         # Marginal-contribution bonus, one reduced solve per child:
         # T(w_{-i}) minus the bid-derived allocation re-timed at the
         # child's actual rate.
-        alpha_served = np.take_along_axis(alpha, orders, axis=1)
-        z_served = np.take_along_axis(z, orders - 1, axis=1)
-        clock = np.cumsum(alpha_served * z_served, axis=1)
-        t_served_bid = clock + alpha_served * np.take_along_axis(full_bids, orders, axis=1)
+        clock = np.cumsum(alpha_served * served_z, axis=1)
+        t_served_bid = clock + alpha_served * served_w
         t_root = alpha[:, 0] * full_bids[:, 0]
 
         if n == 1:
             t_without = full_bids[:, :1].copy()
         else:
-            # All n reduced stars in one call: block c - 1 of the N * n
-            # stacked rows drops child c.  Every step is row-wise, so
-            # this is bitwise-equal to n separate calls.
-            keep = np.array([[c for c in range(n) if c != child] for child in range(n)])
-            z_red = z[:, keep].transpose(1, 0, 2).reshape(n * n_runs, n - 1)
-            w_red = np.concatenate(
-                (
-                    np.tile(full_bids[:, :1], (n, 1)),
-                    full_bids[:, 1:][:, keep].transpose(1, 0, 2).reshape(n * n_runs, n - 1),
-                ),
-                axis=1,
+            # All n reduced stars in one call: row k * n + s of the
+            # N * n stacked rows is run k without the child it serves in
+            # slot s.  The stable order of the others stays the order
+            # minus that slot, and every step is row-wise, so this is
+            # bitwise-equal to n separate solves.
+            drop = _drop_one(n)
+            alpha0_red, _ = _star_shares(
+                np.repeat(full_bids[:, 0], n),
+                served_w[:, drop].reshape(n_runs * n, n - 1),
+                served_z[:, drop].reshape(n_runs * n, n - 1),
             )
-            orders_red = np.argsort(z_red, axis=1, kind="stable") + 1
-            alpha_red = _star_alpha_batch(w_red, z_red, orders_red)
-            t_without = (alpha_red[:, 0] * w_red[:, 0]).reshape(n, n_runs).T
+            t_without = np.empty((n_runs, n))
+            t_without[runs, orders - 1] = alpha0_red.reshape(n_runs, n) * full_bids[:, :1]
         # Axis 1 picks the child re-timed at its actual rate, axis 2 the
         # service slot: only that child's own slot changes.
         slot = orders[:, None, :] == np.arange(1, n + 1)[None, :, None]
@@ -1048,7 +1082,7 @@ def run_star_batch(
             0.0,
         )
 
-        t_served_actual = clock + alpha_served * np.take_along_axis(rates_full, orders, axis=1)
+        t_served_actual = clock + alpha_served * rates_full[runs, orders]
         t_root_actual = alpha[:, 0] * rates_full[:, 0]
         makespan = np.maximum(t_root_actual, t_served_actual.max(axis=1)) * load
 
@@ -1115,7 +1149,7 @@ def _row_snapshots(
     m = outcome.bids.shape[1] - 1
     grievances = outcome.grievances.tolist()
     substantiated = outcome.substantiated.tolist()
-    n_challenged = np.count_nonzero(outcome.challenged, axis=1).tolist()
+    n_challenged = outcome.challenged.sum(axis=1).tolist()
     # The per-row counts and volumes are the engine's one ledger fold.
     n_fines = outcome.fine_entries.tolist()
     transfers = outcome.transfers.tolist()

@@ -285,16 +285,19 @@ def payment_breakdown_batch(
         Metered actual unit times :math:`\\tilde w_j`, shape ``(N, m)``;
         defaults to the bids (truthful full-speed execution).
     assigned / alpha_hat / w_bar:
-        Optional ``(N, m)`` overrides for the schedule-derived arrays.
-        The batched mechanism engine passes its protocol-faithful Phase II
-        quantities here (the mechanism derives interior ``alpha_hat`` by a
-        division the solver never performs, and the audit recompute uses
-        its own left-associative ``alpha_hat`` expression) so the batch
-        settlement stays bitwise-equal to the scalar path.
+        Optional overrides for the schedule-derived arrays.  The batched
+        mechanism engine settles the provable payment and the audit
+        recomputation in one call: it stacks its protocol-faithful
+        quantities (the mechanism's interior ``alpha_hat`` division) and
+        the audit's own (the left-associative ``alpha_hat`` expression)
+        along a leading "sides" axis, ``(2, N, m)``.
 
-    The elementwise formulas are exactly eqs. 4.5–4.11; column ``m-1`` is
-    the terminal processor (eq. 4.10), every other column uses eq. 4.11.
-    Differential tests pin this against the scalar path to 1e-9.
+    Every input broadcasts against the others, so each field has the
+    broadcast shape of its own inputs (``computed``, ``actual_rate`` and
+    ``valuation`` keep theirs).  The elementwise formulas are exactly
+    eqs. 4.5–4.11; the last column is the terminal processor (eq. 4.10),
+    every other column uses eq. 4.11.  Differential tests pin this
+    against the scalar path bitwise.
     """
     bids = schedule.w[:, 1:]
     z = schedule.z
@@ -303,11 +306,14 @@ def payment_breakdown_batch(
     w_bar = np.asarray(w_bar, dtype=np.float64) if w_bar is not None else schedule.w_eq[:, 1:]
     computed_arr = np.asarray(computed, dtype=np.float64) if computed is not None else assigned
     rates = np.asarray(actual_rates, dtype=np.float64) if actual_rates is not None else bids
-    if computed_arr.shape != assigned.shape or rates.shape != assigned.shape:
+    try:
+        np.broadcast(assigned, alpha_hat, w_bar, computed_arr, rates, bids)
+    except ValueError:
         raise ValueError(
-            f"computed/actual_rates must have shape {assigned.shape}, "
-            f"got {computed_arr.shape} and {rates.shape}"
-        )
+            f"assigned/alpha_hat/w_bar/computed/actual_rates must broadcast against the "
+            f"{bids.shape} schedule, got {assigned.shape}, {alpha_hat.shape}, {w_bar.shape}, "
+            f"{computed_arr.shape} and {rates.shape}"
+        ) from None
 
     v = -computed_arr * rates  # eq. 4.5
     e = np.where(computed_arr >= assigned, (computed_arr - assigned) * rates, 0.0)  # eq. 4.8
@@ -316,7 +322,7 @@ def payment_breakdown_batch(
     # the actual rate verbatim; interior columns keep w_bar unless the
     # processor ran slower than it bid.
     w_hat = np.where(rates >= bids, alpha_hat * rates, w_bar)
-    w_hat[:, -1] = rates[:, -1]
+    w_hat[..., -1] = rates[..., -1]
     # Bonus (eq. 4.9): two-processor system {P_{j-1}, equiv P_j} allocated
     # from the bids, evaluated at the actual performance.
     predecessor_bid = schedule.w[:, :-1]
@@ -327,16 +333,15 @@ def payment_breakdown_batch(
     )
     b = predecessor_bid - w_eval
     participating = computed_arr > 0.0  # eq. 4.6: Q_j = 0 for alpha~_j = 0
-    zero = np.zeros_like(assigned)
     return BatchPaymentBreakdown(
         assigned=assigned,
         computed=computed_arr,
         actual_rate=rates,
         valuation=v,
-        compensation=np.where(participating, c, zero),
-        recompense=np.where(participating, e, zero),
-        bonus=np.where(participating, b, zero),
-        payment=np.where(participating, c + b, zero),
+        compensation=np.where(participating, c, 0.0),
+        recompense=np.where(participating, e, 0.0),
+        bonus=np.where(participating, b, 0.0),
+        payment=np.where(participating, c + b, 0.0),
     )
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from time import perf_counter
 from typing import Any, Iterator, Mapping
 
@@ -58,6 +58,9 @@ _ENV_FLAG = "REPRO_PERF"
 
 #: Histogram-name prefix for span durations.
 PERF_PREFIX = "perf."
+
+#: What a disabled profiler's spans return: entering it does nothing.
+_NO_SPAN = nullcontext()
 
 
 class PerfProfiler:
@@ -80,18 +83,19 @@ class PerfProfiler:
         """The dotted path of the innermost open span, or ``None``."""
         return ".".join(self._stack) if self._stack else None
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
+    def span(self, name: str) -> AbstractContextManager[None]:
         """Time the enclosed block into ``perf.<path>.<name>`` seconds.
 
         Nested calls extend the dotted path; the histogram write happens
         on exit against whatever registry is active *then*, so a span
         fully inside a :func:`~repro.obs.metrics.collecting` scope lands
-        in that scope's delta.
+        in that scope's delta.  A disabled profiler hands out one shared
+        no-op context.
         """
-        if not self.enabled:
-            yield
-            return
+        return self._timed(name) if self.enabled else _NO_SPAN
+
+    @contextmanager
+    def _timed(self, name: str) -> Iterator[None]:
         self._stack.append(name)
         path = ".".join(self._stack)
         start = perf_counter()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.strategies import (
+    LoadSheddingAgent,
     MiscomputingAgent,
     MisbiddingAgent,
     OverchargingAgent,
@@ -173,6 +174,63 @@ class TestChainEngineDifferential:
                     fine_volume += audit.fine
             assert volume == batch.volume[i]
             assert fine_volume == batch.fine_volume[i]
+
+
+class TestChainPhase3Flow:
+    """The Phase III flow arrays against the scalar run's simulator: a
+    shedder at every index, with fractions from nothing to everything,
+    and a near-zero bid at every index, whose successors receive less
+    than the load threshold, so the cascade stops there."""
+
+    M, NETWORKS = 5, 10
+    SPECS = [None] + [
+        f"{i}:{kind}"
+        for i in range(1, M + 1)
+        for kind in ("shed:0", "shed:1e-6", "shed:0.5", "shed:1", "misbid:1e-13")
+    ]
+
+    def test_flow_equals_simulator(self):
+        m = self.M
+        rows = [(800 + net, spec) for net in range(self.NETWORKS) for spec in self.SPECS]
+        w, z, draws = _draw_stack(m, [seed for seed, _ in rows])
+        bids = w[:, 1:].copy()
+        shed = np.full((len(rows), m), np.nan)
+        for k, (_seed, spec) in enumerate(rows):
+            if spec is not None:
+                agent = make_deviant(spec, list(w[k, 1:]))
+                bids[k, agent.index - 1] = agent.choose_bid()
+                if isinstance(agent, LoadSheddingAgent):
+                    shed[k, agent.index - 1] = agent.shed_fraction
+        batch = run_chain_batch(
+            w, z, bids=bids, shed=shed, audit_probability=0.5, audit_draws=draws
+        )
+        stops = 0
+        for k, (seed, spec) in enumerate(rows):
+            rng = np.random.default_rng(seed)
+            net = draw_network("chain", m, rng)
+            agents = [TruthfulAgent(i, float(t)) for i, t in enumerate(net.w[1:], start=1)]
+            if spec is not None:
+                deviant = make_deviant(spec, list(net.w[1:]))
+                agents[deviant.index - 1] = deviant
+            sim = DLSLBLMechanism(
+                net.z, float(net.w[0]), agents, audit_probability=0.5, rng=rng
+            ).run().sim_result
+            assert np.array_equal(sim.arrival_times, batch.arrival_times[k]), spec
+            assert np.array_equal(sim.computed, batch.computed[k]), spec
+            # A shedder's load always flows on to the terminal.  Past a
+            # stop, the simulator reports nothing received, while
+            # received_actual keeps the plan's sub-threshold residue.
+            unreached = np.flatnonzero(sim.received == 0.0)
+            stop = unreached[0] if unreached.size else m + 1
+            if spec is None or "shed" in spec:
+                assert stop == m + 1, spec
+            assert np.array_equal(sim.received[:stop], batch.received_actual[k, :stop]), spec
+            stops += stop <= m
+        # Both cuts must be exercised: a live run whose load stops short
+        # of the terminal, and a processor that computes nothing.
+        assert not batch.aborted.any()
+        assert stops > 0
+        assert (batch.computed[:, 1:] == 0.0).any()
 
 
 class TestStarEngineDifferential:

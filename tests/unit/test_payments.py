@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.dlt.batch import solve_linear_batch
 from repro.mechanism.payments import (
+    BatchPaymentBreakdown,
     adjusted_equivalent_time,
     bonus,
     compensation,
     payment_breakdown,
+    payment_breakdown_batch,
     recommended_fine,
     recompense,
     valuation,
@@ -125,6 +128,50 @@ class TestPaymentBreakdown:
         interior = payment_breakdown(**self._kwargs(actual_rate=5.0))
         terminal = payment_breakdown(**self._kwargs(is_terminal=True, actual_rate=5.0))
         assert interior.bonus != terminal.bonus
+
+
+class TestPaymentBreakdownBatchSides:
+    """Overrides stacked along a leading axis settle in one call exactly
+    as the separate calls do, field by field."""
+
+    def test_stacked_sides_equal_separate_calls(self):
+        rng = np.random.default_rng(11)
+        n, m = 7, 4
+        schedule = solve_linear_batch(
+            rng.uniform(0.5, 4.0, (n, m + 1)), rng.uniform(0.1, 1.0, (n, m))
+        )
+        bids = schedule.w[:, 1:]
+        # Slow, fast and exact rates; idle, short and overloaded agents.
+        rates = bids * rng.choice([0.5, 1.0, 2.0], (n, m))
+        computed = schedule.alpha[:, 1:] * rng.choice([0.0, 0.5, 1.0, 1.5], (n, m))
+        sides = [
+            dict(
+                assigned=schedule.alpha[:, 1:] * scale,
+                alpha_hat=schedule.alpha_hat[:, 1:] * scale,
+                w_bar=schedule.w_eq[:, 1:] * scale,
+            )
+            for scale in (1.0, 1.0 + 1e-12)
+        ]
+        stacked = payment_breakdown_batch(
+            schedule,
+            computed=computed,
+            actual_rates=rates,
+            **{key: np.stack([side[key] for side in sides]) for key in sides[0]},
+        )
+        assert stacked.payment.shape == (2, n, m)
+        for k, side in enumerate(sides):
+            single = payment_breakdown_batch(
+                schedule, computed=computed, actual_rates=rates, **side
+            )
+            for field in BatchPaymentBreakdown.__dataclass_fields__:
+                got = np.broadcast_to(getattr(stacked, field), stacked.payment.shape)[k]
+                want = getattr(single, field)
+                assert got.tobytes() == want.tobytes(), field
+
+    def test_unbroadcastable_override_rejected(self):
+        schedule = solve_linear_batch([[2.0, 2.0, 3.0]], [[1.0, 0.5]])
+        with pytest.raises(ValueError, match="broadcast"):
+            payment_breakdown_batch(schedule, assigned=np.ones((2, 1, 3)))
 
 
 class TestRecommendedFine:
