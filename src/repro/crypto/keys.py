@@ -39,6 +39,15 @@ class KeyPair:
     owner: int
     public_key: str
     _secret: bytes = field(repr=False)
+    #: HMAC keyed once with ``_secret``; each MAC works on a copy of it.
+    _keyed: hmac.HMAC = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_keyed", hmac.new(self._secret, digestmod=hashlib.sha256))
+
+    def __reduce__(self):
+        # The keyed HMAC does not pickle; rebuild it from the secret.
+        return (KeyPair, (self.owner, self.public_key, self._secret))
 
     @classmethod
     def generate(cls, owner: int, *, seed: bytes | None = None) -> "KeyPair":
@@ -61,7 +70,9 @@ class KeyPair:
 
     def mac(self, payload: bytes) -> str:
         """Compute the signature MAC over ``payload`` with the private key."""
-        return hmac.new(self._secret, payload, hashlib.sha256).hexdigest()
+        mac = self._keyed.copy()
+        mac.update(payload)
+        return mac.hexdigest()
 
 
 class KeyRegistry:

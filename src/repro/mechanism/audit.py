@@ -11,6 +11,7 @@ profit (Lemma 5.1 case (iv), after Mitchell & Teague [17]).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,18 @@ from repro.protocol.lambda_device import LambdaDevice
 from repro.protocol.messages import PaymentProof
 from repro.protocol.meter import TamperProofMeter
 
-__all__ = ["AuditRecord", "Auditor", "recompute_payment_from_proof"]
+__all__ = ["AuditRecord", "Auditor", "isclose", "recompute_payment_from_proof"]
 
 #: Absolute tolerance when comparing a bill to the recomputed payment —
 #: generous against floating-point noise, negligible against any
 #: profitable overcharge.
 BILL_TOL = 1e-6
+
+
+def isclose(a: float, b: float) -> bool:
+    """``np.isclose(a, b)`` for two Python floats, at default tolerances
+    (``rtol=1e-5``, ``atol=1e-8``), without the array round trip."""
+    return (abs(a - b) <= 1e-8 + 1e-5 * abs(b) and math.isfinite(b)) or a == b
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,9 @@ def recompute_payment_from_proof(
     # root-operated; a stale or substituted reading is invalid evidence).
     reading = TamperProofMeter.parse(proof.meter)
     own_record = meter.reading_for(j)
-    if own_record is None or not np.isclose(own_record.actual_rate, reading.actual_rate):
+    if own_record is None or not isclose(own_record.actual_rate, reading.actual_rate):
         return None, "meter reading does not match the root's record"
-    if not np.isclose(own_record.computed_amount, reading.computed_amount):
+    if not isclose(own_record.computed_amount, reading.computed_amount):
         return None, "metered amount does not match the root's record"
 
     # The Λ certificate bounds what the processor can claim it received.

@@ -521,7 +521,7 @@ class BatchChainOutcome:
     received_share: np.ndarray  # (N, m+1) D_i per unit load
     assigned: np.ndarray        # (N, m+1) absolute load units
     retained: np.ndarray        # (N, m+1) Phase III retention plan
-    received_actual: np.ndarray  # (N, m+1) what actually flowed
+    received_actual: np.ndarray  # (N, m+1) what actually flowed (0 past a stop)
     computed: np.ndarray        # (N, m+1) sim-metered computation
     actual_rates: np.ndarray    # (N, m+1) metered rates (root included)
     arrival_times: np.ndarray   # (N, m+1)
@@ -819,6 +819,9 @@ def run_chain_batch(
             alive[:, 0] = True
             np.logical_and.accumulate(received_actual[:, 1:] > _EPS_LOAD, axis=1, out=alive[:, 1:])
             computed = np.where(alive & (retained > _EPS_LOAD), retained, 0.0)
+            # Past a stop nothing flows on (the grievances above saw the
+            # plan's residue, as the scalar run's evidence does).
+            flowed = np.where(alive, received_actual, 0.0)
             arrival = np.zeros(w_bar.shape)
             np.multiply(received_actual[:, 1:], z, out=arrival[:, 1:])
             arrival = np.where(alive, np.cumsum(arrival, axis=1, out=arrival), 0.0)
@@ -893,7 +896,7 @@ def run_chain_batch(
             received_share=received,
             assigned=assigned,
             retained=retained,
-            received_actual=received_actual,
+            received_actual=flowed,
             computed=computed,
             actual_rates=rates_full,
             arrival_times=arrival,

@@ -218,13 +218,12 @@ class TestChainPhase3Flow:
             assert np.array_equal(sim.arrival_times, batch.arrival_times[k]), spec
             assert np.array_equal(sim.computed, batch.computed[k]), spec
             # A shedder's load always flows on to the terminal.  Past a
-            # stop, the simulator reports nothing received, while
-            # received_actual keeps the plan's sub-threshold residue.
+            # stop, both report nothing received.
+            assert np.array_equal(sim.received, batch.received_actual[k]), spec
             unreached = np.flatnonzero(sim.received == 0.0)
             stop = unreached[0] if unreached.size else m + 1
             if spec is None or "shed" in spec:
                 assert stop == m + 1, spec
-            assert np.array_equal(sim.received[:stop], batch.received_actual[k, :stop]), spec
             stops += stop <= m
         # Both cuts must be exercised: a live run whose load stops short
         # of the terminal, and a processor that computes nothing.

@@ -7,7 +7,7 @@ import pytest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signing import SignedMessage, sign
 from repro.dlt.linear import phase1_bids, solve_linear_boundary
-from repro.mechanism.audit import recompute_payment_from_proof
+from repro.mechanism.audit import isclose, recompute_payment_from_proof
 from repro.mechanism.payments import payment_breakdown
 from repro.protocol.lambda_device import LambdaDevice
 from repro.protocol.messages import GMessage, PaymentProof, bid_payload, value_payload
@@ -190,3 +190,21 @@ class TestTamperedProofs:
         payment, reason = ctx["recompute"](tampered)
         assert payment is None
         assert "successor" in reason
+
+
+class TestScalarIsClose:
+    """The audit's scalar tolerance check agrees with ``np.isclose``."""
+
+    BASE = [0.0, -0.0, 1.0, -1.0, 1e-8, 2e-8, 1e-3, 3.0, 1e300, 1.7976931348623157e308,
+            float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324, 2.2250738585072014e-308]
+
+    def test_matches_numpy_on_grid(self):
+        values = set(self.BASE)
+        for v in self.BASE:
+            for scale in (1 + 1e-5, 1 - 1e-5, 1 + 2e-5, 1 + 1e-9):
+                values.add(v * scale)
+            values.update((v + 1e-8, v - 1e-8, v + 2e-8))
+        values = sorted(values, key=repr)
+        for a in values:
+            for b in values:
+                assert isclose(a, b) == bool(np.isclose(a, b)), (a, b)

@@ -1,5 +1,10 @@
 """Unit tests for the simulated PKI (repro.crypto.keys)."""
 
+import copy
+import hashlib
+import hmac
+import pickle
+
 import pytest
 
 from repro.crypto.keys import KeyPair, KeyRegistry
@@ -30,6 +35,20 @@ class TestKeyPair:
     def test_secret_not_in_repr(self):
         pair = KeyPair.generate(0, seed=b"x")
         assert pair._secret.hex() not in repr(pair)
+
+    def test_mac_is_hmac_sha256(self):
+        pair = KeyPair.generate(4, seed=b"x")
+        for payload in (b"", b"a", b"payload" * 50):
+            assert pair.mac(payload) == hmac.new(pair._secret, payload, hashlib.sha256).hexdigest()
+        # Repeated MACs never feed one call's input into the next.
+        assert pair.mac(b"a") == pair.mac(b"a")
+
+    @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+    def test_pickle_and_deepcopy(self, clone):
+        pair = KeyPair.generate(2, seed=b"x")
+        restored = clone(pair)
+        assert restored == pair
+        assert restored.mac(b"payload") == pair.mac(b"payload")
 
 
 class TestKeyRegistry:
