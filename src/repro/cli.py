@@ -15,10 +15,9 @@ Commands
     Run one experiment from the DESIGN.md index (or ``all``).
 ``experiments``
     Run the experiment suite through the parallel runner
-    (``--jobs N`` worker processes, ``--batch`` vectorized solving,
-    ``--bench`` to record speedups in ``BENCH_batch.json``,
-    ``--checkpoint PATH`` to journal finished tasks so an interrupted
-    run resumes with identical results).
+    (``--jobs N`` worker processes, ``--bench`` to record speedups in
+    ``BENCH_batch.json``, ``--checkpoint PATH`` to journal finished
+    tasks so an interrupted run resumes with identical results).
 ``run``
     Population runs of the mechanism with structured tracing:
     ``python -m repro run --m 4 --count 10 --trace out.jsonl --metrics
@@ -67,6 +66,13 @@ def _floats(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,11 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ids", nargs="*", metavar="ID",
         help="experiment ids to run, in order (default: the whole registry)",
     )
-    exps.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process serial)")
-    exps.add_argument(
-        "--batch", action="store_true",
-        help="use the vectorized batch solvers in experiments that support them",
-    )
+    exps.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 = in-process serial)")
     exps.add_argument(
         "--seed", type=int, default=None,
         help="base seed; derives a deterministic per-experiment seed (default: each experiment's pinned seed)",
@@ -157,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--m", type=int, default=4, help="links per chain (m+1 processors)")
     run.add_argument("--count", type=int, default=10, help="number of mechanism runs")
     run.add_argument("--seed", type=int, default=0, help="base seed; run i uses task_seed('mech/i', seed)")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process serial)")
+    run.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 = in-process serial)")
     run.add_argument("--audit-probability", type=float, default=0.25)
     run.add_argument(
         "--deviant",
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load the scenario from a JSON ScenarioSpec file instead of the catalog",
     )
     faults_run.add_argument("--seed", type=int, default=0, help="base seed for the derived per-run streams")
-    faults_run.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process serial)")
+    faults_run.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 = in-process serial)")
     faults_run.add_argument("--runs", type=int, default=None, help="override the scenario's run count")
     faults_run.add_argument("--trace", default=None, metavar="PATH", help="write the merged JSONL trace to PATH")
     faults_run.add_argument(
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_fuzz.add_argument("--seed", type=int, default=0, help="fuzz batch seed")
     faults_fuzz.add_argument("--count", type=int, default=20, help="scenarios to generate")
-    faults_fuzz.add_argument("--jobs", type=int, default=1, help="worker processes per scenario")
+    faults_fuzz.add_argument("--jobs", type=_jobs, default=1, help="worker processes per scenario")
     faults_fuzz.add_argument("--m", type=int, default=4, help="links per chain (m+1 processors)")
     faults_fuzz.add_argument(
         "--max-faults", type=int, default=3, help="max faults per generated scenario"
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_record.add_argument("--bench-path", default="BENCH_batch.json", help="full-record output path")
     perf_record.add_argument("--history", default="BENCH_history.jsonl", help="append-only trajectory path")
-    perf_record.add_argument("--jobs", type=int, default=1, help="worker processes for the parallel sections")
+    perf_record.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the parallel sections")
     perf_report = perf_sub.add_parser(
         "report", help="span tree and latency percentiles from a bench record or metrics report"
     )
@@ -629,14 +631,12 @@ def _cmd_experiments(args) -> int:
                 args.replications,
                 jobs=args.jobs,
                 base_seed=args.seed if args.seed is not None else 0,
-                use_batch=args.batch,
                 checkpoint=args.checkpoint,
             )
         else:
             runs = run_experiments(
                 args.ids or None,
                 jobs=args.jobs,
-                use_batch=args.batch,
                 base_seed=args.seed,
                 checkpoint=args.checkpoint,
             )

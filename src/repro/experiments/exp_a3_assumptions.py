@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dlt.linear import solve_linear_boundary
+from repro.dlt.batch import solve_many
 from repro.dlt.overheads import (
     finishing_times_with_startup,
     protocol_latency_overhead,
@@ -36,16 +36,10 @@ def run_a3_assumptions(
     startups: tuple[float, ...] = (0.001, 0.01, 0.1),
     latencies: tuple[float, ...] = (0.001, 0.01, 0.1),
     result_ratios: tuple[float, ...] = (0.01, 0.1, 0.5),
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workload = workload or WORKLOADS["small-uniform"]
     networks = {m: workload.one(m) for m in sizes}
-    if use_batch:
-        from repro.dlt.batch import solve_many
-
-        schedules = dict(zip(sizes, solve_many([networks[m] for m in sizes])))
-    else:
-        schedules = {m: solve_linear_boundary(networks[m]) for m in sizes}
+    schedules = dict(zip(sizes, solve_many([networks[m] for m in sizes])))
 
     startup_table = Table(
         title="A3(i) — link startup cost: makespan inflation (schedule held fixed)",

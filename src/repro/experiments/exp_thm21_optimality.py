@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dlt.linear import solve_linear_boundary
+from repro.dlt.batch import solve_many
 from repro.dlt.timing import finishing_times, is_optimal_allocation, makespan
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
@@ -41,7 +41,6 @@ def run_thm21_optimality(
     *,
     n_trials: int = 200,
     seed: int = 101,
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workload = workload or WORKLOADS["small-uniform"]
     rng = np.random.default_rng(seed)
@@ -58,15 +57,9 @@ def run_thm21_optimality(
     )
     all_ok = True
     pairs = list(workload.networks())
-    if use_batch:
-        # One vectorized solve per chain length instead of a solve per
-        # instance; the batch kernel performs the same per-element
-        # arithmetic, so the table is identical either way (tested).
-        from repro.dlt.batch import solve_many
-
-        schedules = solve_many([network for _, network in pairs])
-    else:
-        schedules = [solve_linear_boundary(network) for _, network in pairs]
+    # The batch kernel performs Algorithm 1's per-element arithmetic, one
+    # stacked solve per chain length.
+    schedules = solve_many([network for _, network in pairs])
     for (m, network), schedule in zip(pairs, schedules):
         times = finishing_times(network, schedule.alpha)
         spread = float(times.max() - times.min())

@@ -26,7 +26,7 @@ from repro.agents.strategies import (
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
 from repro.mechanism.dls_lbl import DLSLBLMechanism, MechanismOutcome
-from repro.mechanism.properties import run_truthful, truthful_utilities_batch
+from repro.mechanism.properties import truthful_utilities_batch
 
 __all__ = ["run_thm51_deviation", "run_single_deviation"]
 
@@ -72,19 +72,14 @@ def run_thm51_deviation(
     *,
     m: int = 5,
     audit_probability: float = 1.0,
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workload = workload or WORKLOADS["small-uniform"]
     network = workload.one(m)
-    if use_batch:
-        # The all-truthful baseline levies no fines, so its utilities are
-        # exactly eq. 4.4 — one vectorized solve instead of a protocol run.
-        truthful_by_index = truthful_utilities_batch(
-            network.z, float(network.w[0]), network.w[1:]
-        )
-    else:
-        baseline = run_truthful(network.z, float(network.w[0]), network.w[1:])
-        truthful_by_index = {i: baseline.utility(i) for i in range(1, m + 1)}
+    # The all-truthful baseline levies no fines, so its utilities are
+    # exactly eq. 4.4.
+    truthful_by_index = truthful_utilities_batch(
+        network.z, float(network.w[0]), network.w[1:]
+    )
     table = Table(
         title="Theorem 5.1 — every deviation is caught and unprofitable",
         columns=[

@@ -40,7 +40,6 @@ def run_thm52_annoying(
     m: int = 5,
     s: float = 0.5,
     seed: int = 202,
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workload = workload or WORKLOADS["small-uniform"]
     network = workload.one(m)
@@ -71,9 +70,9 @@ def run_thm52_annoying(
         with_s = expected_solution_utility(base, agents, forwarded, config)
         p = probability_solution_found(agents, forwarded)
         # The vectorized estimator draws the same positions and applies
-        # the same predicates, so both paths return identical estimates.
+        # the same predicates as the round-by-round loop.
         mc = simulate_solution_rounds(
-            agents, forwarded, config, rng, n_rounds=20000, vectorized=use_batch
+            agents, forwarded, config, rng, n_rounds=20000, vectorized=True
         )
         return base, with_s, p, mc
 

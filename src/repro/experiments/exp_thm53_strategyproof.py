@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
-from repro.mechanism.properties import sweep_bids, sweep_bids_batch, utility_of_bid
+from repro.mechanism.properties import sweep_bids, sweep_bids_batch
 
 __all__ = ["run_thm53_strategyproof", "utility_curve"]
 
@@ -50,7 +50,6 @@ def run_thm53_strategyproof(
     *,
     factors: np.ndarray | None = None,
     slowdowns: tuple[float, ...] = (1.25, 2.0),
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workloads = workloads or [
         WORKLOADS["small-uniform"],
@@ -67,22 +66,14 @@ def run_thm53_strategyproof(
         title="Slow execution (w~ > t) never profits",
         columns=["workload", "slowdown", "max advantage", "violations"],
     )
-    # Bid deviations and slowdowns are protocol-compliant, so the batch
-    # path evaluates eq. 4.4 directly through the vectorized kernels —
-    # differential-tested against the scalar mechanism runs to 1e-9.
-    sweep = sweep_bids_batch if use_batch else sweep_bids
-
+    # Bid deviations and slowdowns are protocol-compliant, so eq. 4.4 is
+    # evaluated directly through the vectorized kernels — differential-
+    # tested against the scalar mechanism runs to 1e-9.
     def slow_utility(z, root, true, agent_index, rate):
-        if use_batch:
-            report = sweep_bids_batch(
-                z, root, true, agent_index,
-                factors=np.array([1.0]), execution_rate=rate,
-            )
-            return float(report.utilities[0])
-        return utility_of_bid(
-            z, root, true, agent_index,
-            float(true[agent_index - 1]), execution_rate=rate,
+        report = sweep_bids_batch(
+            z, root, true, agent_index, factors=np.array([1.0]), execution_rate=rate
         )
+        return float(report.utilities[0])
 
     all_ok = True
     for workload in workloads:
@@ -99,7 +90,7 @@ def run_thm53_strategyproof(
             true = network.w[1:]
             for agent_index in range(1, m + 1):
                 agents_swept += 1
-                report = sweep(z, root, true, agent_index, factors=factors)
+                report = sweep_bids_batch(z, root, true, agent_index, factors=factors)
                 worst = max(worst, report.advantage_of_lying)
                 if not report.truthful_is_optimal:
                     violations += 1

@@ -12,18 +12,12 @@ import numpy as np
 
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
-from repro.mechanism.properties import (
-    check_voluntary_participation,
-    run_truthful,
-    truthful_utilities_batch,
-)
+from repro.mechanism.properties import truthful_utilities_batch
 
 __all__ = ["run_thm54_participation"]
 
 
-def run_thm54_participation(
-    workloads: list[Workload] | None = None, *, use_batch: bool = False
-) -> ExperimentResult:
+def run_thm54_participation(workloads: list[Workload] | None = None) -> ExperimentResult:
     workloads = workloads or [
         WORKLOADS["small-uniform"],
         WORKLOADS["heterogeneous"],
@@ -37,19 +31,14 @@ def run_thm54_participation(
     all_ok = True
     for workload in workloads:
         for m, network in workload.networks():
-            if use_batch:
-                # All-truthful runs levy no fines, so the vectorized
-                # eq. 4.4 evaluation is the VP check itself.
-                by_index = truthful_utilities_batch(
-                    network.z, float(network.w[0]), network.w[1:]
-                )
-                utilities = np.array([by_index[i] for i in range(1, m + 1)])
-                holds = bool(utilities.min() >= -1e-9)
-            else:
-                outcome = run_truthful(network.z, float(network.w[0]), network.w[1:])
-                utilities = np.array([outcome.utility(i) for i in range(1, m + 1)])
-                holds = check_voluntary_participation(outcome)
-            all_ok &= holds and utilities.min() >= -1e-9
+            # All-truthful runs levy no fines, so the vectorized eq. 4.4
+            # evaluation is the VP check itself.
+            by_index = truthful_utilities_batch(
+                network.z, float(network.w[0]), network.w[1:]
+            )
+            utilities = np.array([by_index[i] for i in range(1, m + 1)])
+            holds = bool(utilities.min() >= -1e-9)
+            all_ok &= holds
             table.add_row(
                 workload.name,
                 m,

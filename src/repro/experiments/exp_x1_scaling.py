@@ -13,14 +13,14 @@ import numpy as np
 
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
-from repro.mechanism.properties import run_truthful
 
 __all__ = ["run_x1_scaling"]
 
 
-def _batch_cost_rows(networks) -> list[tuple[float, float, float, float]]:
-    """(makespan, compute cost, bonus total, outlay) per instance, via one
-    batched solve — the all-truthful analytic path (no fines, bill = Q)."""
+def _batch_cost_rows(networks) -> np.ndarray:
+    """``(n, 4)`` rows of (makespan, compute cost, bonus total, outlay) per
+    instance, via one batched solve — the all-truthful analytic path (no
+    fines, bill = Q)."""
     from repro.dlt.batch import solve_linear_batch, stack_networks
     from repro.mechanism.payments import payment_breakdown_batch
     from repro.sim.linear_sim import _EPS_LOAD
@@ -37,15 +37,10 @@ def _batch_cost_rows(networks) -> list[tuple[float, float, float, float]]:
     bonus_total = payments.bonus.sum(axis=1)
     root_reimbursement = schedule.alpha[:, 0] * w[:, 0]
     outlay = root_reimbursement + payments.payment.sum(axis=1)
-    return [
-        (float(schedule.makespan[i]), float(compute_cost[i]), float(bonus_total[i]), float(outlay[i]))
-        for i in range(len(networks))
-    ]
+    return np.column_stack((schedule.makespan, compute_cost, bonus_total, outlay))
 
 
-def run_x1_scaling(
-    workload: Workload | None = None, *, use_batch: bool = False
-) -> ExperimentResult:
+def run_x1_scaling(workload: Workload | None = None) -> ExperimentResult:
     workload = workload or WORKLOADS["scaling"]
     table = Table(
         title="X1 — mechanism cost vs chain length (truthful agents)",
@@ -60,32 +55,14 @@ def run_x1_scaling(
         notes="overhead ratio = total outlay / compute cost; compute cost = sum alpha_i * w_i",
     )
     all_ok = True
-    by_m: dict[int, list[tuple[float, float, float, float]]] = {}
-    pairs = list(workload.networks())
-    if use_batch:
-        # One stacked solve per chain length replaces the protocol runs;
-        # truthful outlay accounting is closed-form (root reimbursement
-        # plus eq. 4.6 payments).
-        sizes: dict[int, list[int]] = {}
-        for idx, (m, _net) in enumerate(pairs):
-            sizes.setdefault(m, []).append(idx)
-        for m, indices in sizes.items():
-            rows = _batch_cost_rows([pairs[i][1] for i in indices])
-            for span, cost, bonus_total, outlay in rows:
-                all_ok &= outlay >= cost - 1e-9
-                by_m.setdefault(m, []).append((span, cost, bonus_total, outlay))
-    else:
-        for m, network in pairs:
-            outcome = run_truthful(network.z, float(network.w[0]), network.w[1:])
-            compute_cost = float(np.sum(outcome.assigned * outcome.actual_rates))
-            bonus_total = sum(
-                r.payment_correct - r.assigned * r.actual_rate for r in outcome.reports.values()
-            )
-            outlay = outcome.total_payments()
-            all_ok &= outcome.completed and outlay >= compute_cost - 1e-9
-            by_m.setdefault(m, []).append((outcome.makespan, compute_cost, bonus_total, outlay))
+    # All-truthful runs levy no fines, so the outlay is closed-form (root
+    # reimbursement plus eq. 4.6 payments): one stacked solve per length.
+    by_m: dict[int, list] = {}
+    for m, network in workload.networks():
+        by_m.setdefault(m, []).append(network)
     for m in sorted(by_m):
-        rows = np.array(by_m[m])
+        rows = _batch_cost_rows(by_m[m])
+        all_ok &= bool(np.all(rows[:, 3] >= rows[:, 1] - 1e-9))
         span, cost, bonus_total, outlay = rows.mean(axis=0)
         table.add_row(m, span, cost, bonus_total, outlay, outlay / cost if cost else float("nan"))
     return ExperimentResult(

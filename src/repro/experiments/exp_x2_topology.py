@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dlt.batch import solve_many
 from repro.dlt.bus import solve_bus
 from repro.dlt.linear import solve_linear_boundary
 from repro.dlt.linear_interior import solve_linear_interior
@@ -34,8 +35,9 @@ def topology_makespans(
 
     The processor pool is ``network.w`` and the link pool ``network.z``;
     the bus uses the mean link rate (one shared medium).  ``precomputed``
-    supplies already-solved makespans by architecture name (the batch
-    path solves chain/star/bus for the whole workload in one pass).
+    supplies already-solved makespans by architecture name
+    (:func:`run_x2_topology` solves chain/star/bus for the whole workload
+    in one pass).
     """
     w = network.w
     z = network.z
@@ -59,9 +61,7 @@ def topology_makespans(
     return spans
 
 
-def run_x2_topology(
-    workload: Workload | None = None, *, use_batch: bool = False
-) -> ExperimentResult:
+def run_x2_topology(workload: Workload | None = None) -> ExperimentResult:
     workload = workload or WORKLOADS["medium-uniform"]
     table = Table(
         title="X2 — optimal makespan by architecture (same resources)",
@@ -79,23 +79,15 @@ def run_x2_topology(
     )
     all_ok = True
     pairs = list(workload.networks())
-    precomputed: list[dict[str, float]] = [{} for _ in pairs]
-    if use_batch:
-        # One batched pass per architecture over the whole workload;
-        # chain/star/bus kernels are elementwise across instances.  The
-        # interior-root and tree solves have no batch kernel and stay
-        # scalar either way.
-        from repro.dlt.batch import solve_many
-
-        chains = solve_many([net for _m, net in pairs])
-        stars = solve_many([StarNetwork(net.w, net.z) for _m, net in pairs])
-        buses = solve_many([BusNetwork(net.w, float(net.z.mean())) for _m, net in pairs])
-        for pre, chain, star, bus in zip(precomputed, chains, stars, buses):
-            pre["linear-boundary"] = chain.makespan
-            pre["star"] = star.makespan
-            pre["bus"] = bus.makespan
+    # One batched pass per architecture over the whole workload;
+    # chain/star/bus kernels are elementwise across instances.  The
+    # interior-root and tree solves have no batch kernel and stay scalar.
+    chains = solve_many([net for _m, net in pairs])
+    stars = solve_many([StarNetwork(net.w, net.z) for _m, net in pairs])
+    buses = solve_many([BusNetwork(net.w, float(net.z.mean())) for _m, net in pairs])
     by_m: dict[int, list[dict[str, float]]] = {}
-    for (m, network), pre in zip(pairs, precomputed):
+    for (m, network), chain, star, bus in zip(pairs, chains, stars, buses):
+        pre = {"linear-boundary": chain.makespan, "star": star.makespan, "bus": bus.makespan}
         by_m.setdefault(m, []).append(topology_makespans(network, precomputed=pre))
     for m in sorted(by_m):
         rows = by_m[m]

@@ -15,7 +15,6 @@ import numpy as np
 from repro.agents.strategies import OverchargingAgent, TruthfulAgent
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.workloads import WORKLOADS, Workload
-from repro.mechanism.dls_lbl import DLSLBLMechanism
 from repro.mechanism.properties import run_truthful
 
 __all__ = ["run_x3_audit", "expected_overcharge_gain"]
@@ -30,15 +29,16 @@ def expected_overcharge_gain(delta: float, fine: float, q: float) -> float:
 def _vectorized_gains(
     z, root, agents, mid: int, q: float, truthful_u: float, draws: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Monte-Carlo gains of the overcharger, bitwise equal to the loop.
+    """Monte-Carlo gains of the overcharger over ``n_runs`` mechanism runs.
 
     The whole ``(n_runs, m)`` cell goes through the batched Phase I–IV
     engine: every row is the same chain with the overcharger's bill
-    inflation in its column, and ``draws`` is the identical rng stream
-    the scalar loop would consume (one Bernoulli challenge draw per
-    agent in index order, row-major).  The engine's per-run utilities —
-    including the ``F/q`` penalty on challenged rows — are bitwise the
-    scalar mechanism's.  Returns ``(gains, fine)``.
+    inflation in its column, and ``draws`` holds each run's audit
+    stream as :class:`~repro.mechanism.dls_lbl.DLSLBLMechanism` consumes
+    it (one Bernoulli challenge draw per agent in index order,
+    row-major).  The engine's per-run utilities — including the ``F/q``
+    penalty on challenged rows — are bitwise the scalar mechanism's.
+    Returns ``(gains, fine)``.
     """
     from repro.mechanism.batch_run import run_chain_batch
 
@@ -68,7 +68,6 @@ def run_x3_audit(
     qs: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0),
     n_runs: int = 400,
     seed: int = 303,
-    use_batch: bool = False,
 ) -> ExperimentResult:
     workload = workload or WORKLOADS["small-uniform"]
     network = workload.one(m)
@@ -90,21 +89,11 @@ def run_x3_audit(
         for q in qs:
             agents = [TruthfulAgent(i, float(t)) for i, t in enumerate(true, start=1)]
             agents[mid - 1] = OverchargingAgent(mid, float(true[mid - 1]), overcharge=delta)
-            if use_batch:
-                # The batch path consumes the identical rng stream (m
-                # draws per run, row-major) so the sample — and every
-                # later cell — is bitwise equal to the scalar loop.
-                draws = rng.random((n_runs, m))
-                gains, fine = _vectorized_gains(z, root, agents, mid, q, truthful_u, draws)
-            else:
-                # One mechanism per q; audit draws consume the shared rng so
-                # runs are independent samples.
-                mech = DLSLBLMechanism(z, root, agents, audit_probability=q, rng=rng)
-                fine = mech.fine
-                gains = np.empty(n_runs)
-                for k in range(n_runs):
-                    outcome = mech.run()
-                    gains[k] = outcome.utility(mid) - truthful_u
+            # Every cell draws its runs' audit streams (m draws per run,
+            # row-major) from the shared rng, so runs are independent
+            # samples.
+            draws = rng.random((n_runs, m))
+            gains, fine = _vectorized_gains(z, root, agents, mid, q, truthful_u, draws)
             analytic = expected_overcharge_gain(delta, fine, q)
             mc = float(gains.mean())
             # Standard error of the MC mean bounds the acceptable gap.

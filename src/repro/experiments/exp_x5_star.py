@@ -14,25 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.agents.strategies import MisbiddingAgent, SlowExecutionAgent, TruthfulAgent
+from repro.agents.strategies import MisbiddingAgent, SlowExecutionAgent
 from repro.experiments.harness import ExperimentResult, Table
 from repro.mechanism.properties import run_truthful
-from repro.mechanism.star_mechanism import StarMechanism
 from repro.network.generators import random_star_network
 
 __all__ = ["run_x5_star"]
-
-
-def _run(z, root_rate, true_rates, overrides=None, seed=0):
-    overrides = overrides or {}
-    agents = [
-        overrides.get(i, TruthfulAgent(i, float(t)))
-        for i, t in enumerate(true_rates, start=1)
-    ]
-    mech = StarMechanism(
-        z, root_rate, agents, audit_probability=1.0, rng=np.random.default_rng(seed)
-    )
-    return mech.run()
 
 
 def _batch_instance(z, root_rate, true, factors, slowdown):
@@ -40,9 +27,10 @@ def _batch_instance(z, root_rate, true, factors, slowdown):
 
     Row 0 is the truthful base; then one row per ``(agent, factor)``
     misbid and one per slow agent — the deviant hooks themselves supply
-    the bid/rate floats so every row is bitwise the scalar run it
-    replaces (the probes are compliant, and with ``q = 1`` every audit
-    passes, exactly as in :func:`_run`).  Returns the outcome plus the
+    the bid/rate floats so every row is bitwise the
+    :class:`~repro.mechanism.star_mechanism.StarMechanism` run of that
+    deviant among truthful agents (the probes are compliant, and with
+    ``q = 1`` every audit passes).  Returns the outcome plus the
     ``(agent, factor) -> row`` and ``agent -> row`` maps.
     """
     from repro.mechanism.batch_run import run_star_batch
@@ -87,7 +75,6 @@ def run_x5_star(
     factors: tuple[float, ...] = (0.4, 0.7, 1.0, 1.4, 2.5),
     slowdown: float = 1.5,
     seed: int = 707,
-    use_batch: bool = False,
 ) -> ExperimentResult:
     rng = np.random.default_rng(seed)
     sp_table = Table(
@@ -112,43 +99,23 @@ def run_x5_star(
             z = star.z
             root_rate = float(star.w[0])
             true = [float(t) for t in star.w[1:]]
-            if use_batch:
-                sb, misbid_rows, slow_rows = _batch_instance(z, root_rate, true, factors, slowdown)
-                all_ok &= all(sb.utility(0, i) >= -1e-9 for i in range(1, n + 1))
-                for i in range(1, n + 1):
-                    swept += 1
-                    truthful_u = sb.utility(0, i)
-                    for factor in factors:
-                        adv = sb.utility(misbid_rows[(i, factor)], i) - truthful_u
-                        worst_bid = max(worst_bid, adv)
-                        if adv > 1e-9 * max(1.0, abs(truthful_u)):
-                            violations += 1
-                    slow_u = sb.utility(slow_rows[i], i)
-                    worst_slow = max(worst_slow, slow_u - truthful_u)
-                    if slow_u > truthful_u + 1e-9:
+            sb, misbid_rows, slow_rows = _batch_instance(z, root_rate, true, factors, slowdown)
+            all_ok &= not sb.aborted[0]
+            all_ok &= all(sb.utility(0, i) >= -1e-9 for i in range(1, n + 1))
+            for i in range(1, n + 1):
+                swept += 1
+                truthful_u = sb.utility(0, i)
+                for factor in factors:
+                    adv = sb.utility(misbid_rows[(i, factor)], i) - truthful_u
+                    worst_bid = max(worst_bid, adv)
+                    if adv > 1e-9 * max(1.0, abs(truthful_u)):
                         violations += 1
-                star_cost = float(np.sum(sb.assigned[0, 1:] * sb.actual_rates[0, 1:]))
-                star_rent = float(sum(float(c) for c in sb.correct_q[0]) - star_cost)
-            else:
-                base = _run(z, root_rate, true)
-                all_ok &= base.completed
-                all_ok &= all(base.utility(i) >= -1e-9 for i in range(1, n + 1))
-                for i in range(1, n + 1):
-                    swept += 1
-                    truthful_u = base.utility(i)
-                    for factor in factors:
-                        dev = _run(z, root_rate, true, {i: MisbiddingAgent(i, true[i - 1], bid_factor=factor)})
-                        adv = dev.utility(i) - truthful_u
-                        worst_bid = max(worst_bid, adv)
-                        if adv > 1e-9 * max(1.0, abs(truthful_u)):
-                            violations += 1
-                    slow = _run(z, root_rate, true, {i: SlowExecutionAgent(i, true[i - 1], slowdown=slowdown)})
-                    worst_slow = max(worst_slow, slow.utility(i) - truthful_u)
-                    if slow.utility(i) > truthful_u + 1e-9:
-                        violations += 1
-
-                star_cost = float(np.sum(base.assigned[1:] * base.actual_rates[1:]))
-                star_rent = float(sum(r.payment_correct for r in base.reports.values()) - star_cost)
+                slow_u = sb.utility(slow_rows[i], i)
+                worst_slow = max(worst_slow, slow_u - truthful_u)
+                if slow_u > truthful_u + 1e-9:
+                    violations += 1
+            star_cost = float(np.sum(sb.assigned[0, 1:] * sb.actual_rates[0, 1:]))
+            star_rent = float(sum(float(c) for c in sb.correct_q[0]) - star_cost)
             star_rent_ratio.append(star_rent / star_cost)
             # Same resources arranged as a chain under DLS-LBL.
             chain = run_truthful(z, root_rate, true)

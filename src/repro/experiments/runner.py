@@ -87,15 +87,20 @@ class ExperimentRun:
     metrics: dict[str, Any] | None = None
 
 
+def _takes_seed(exp_id: str) -> bool:
+    from repro.experiments import ALL_EXPERIMENTS
+
+    return "seed" in inspect.signature(ALL_EXPERIMENTS[exp_id]).parameters
+
+
 def _call_experiment(
-    exp_id: str, seed: int | None, use_batch: bool, kwargs: Mapping[str, Any]
+    exp_id: str, seed: int | None, kwargs: Mapping[str, Any]
 ) -> tuple[ExperimentResult, float, dict[str, Any]]:
     """Worker entry point: run one experiment with task-derived options.
 
-    ``seed``/``use_batch`` are forwarded only to experiments whose
-    signatures accept them; extra ``kwargs`` are passed verbatim (the
-    caller owns their validity).  Module-level so it pickles into worker
-    processes.
+    ``seed`` is forwarded only to experiments whose signatures accept it;
+    extra ``kwargs`` are passed verbatim (the caller owns their
+    validity).  Module-level so it pickles into worker processes.
 
     The call runs inside :func:`~repro.obs.metrics.collecting`, so the
     returned snapshot is this task's metrics *delta* — pool workers are
@@ -113,12 +118,9 @@ def _call_experiment(
     from repro.experiments import ALL_EXPERIMENTS
 
     fn = ALL_EXPERIMENTS[exp_id]
-    params = inspect.signature(fn).parameters
     call_kwargs = dict(kwargs)
-    if seed is not None and "seed" in params:
+    if seed is not None and _takes_seed(exp_id):
         call_kwargs.setdefault("seed", seed)
-    if "use_batch" in params:
-        call_kwargs.setdefault("use_batch", use_batch)
     cache_before = linear_cache_info()
     start = time.perf_counter()
     with collecting() as registry:
@@ -141,7 +143,7 @@ def _call_experiment(
 
 
 def _execute(
-    tasks: list[tuple[str, int | None, bool, dict[str, Any]]],
+    tasks: list[tuple[str, int | None, dict[str, Any]]],
     jobs: int,
     *,
     journal: CheckpointJournal | None = None,
@@ -168,7 +170,7 @@ def _execute(
 
 
 def _execute_journaled(
-    tasks: list[tuple[str, int | None, bool, dict[str, Any]]],
+    tasks: list[tuple[str, int | None, dict[str, Any]]],
     jobs: int,
     journal: CheckpointJournal,
     replications: Sequence[int | None] | None,
@@ -183,8 +185,8 @@ def _execute_journaled(
     """
     reps = list(replications) if replications is not None else [None] * len(tasks)
     keys = [
-        task_key(exp_id, seed, use_batch, kwargs, rep)
-        for (exp_id, seed, use_batch, kwargs), rep in zip(tasks, reps)
+        task_key(exp_id, seed, kwargs, rep)
+        for (exp_id, seed, kwargs), rep in zip(tasks, reps)
     ]
     outcomes: list[Any] = [None] * len(tasks)
     restored: list[bool] = [False] * len(tasks)
@@ -232,7 +234,6 @@ def run_experiments(
     ids: Sequence[str] | None = None,
     *,
     jobs: int = 1,
-    use_batch: bool = False,
     base_seed: int | None = None,
     experiment_kwargs: Mapping[str, Mapping[str, Any]] | None = None,
     checkpoint: str | os.PathLike[str] | CheckpointJournal | None = None,
@@ -246,8 +247,6 @@ def run_experiments(
         run and returned in this order.  ``None`` runs the full registry.
     jobs:
         Worker processes; ``1`` runs in-process with no pool.
-    use_batch:
-        Forwarded to experiments that support vectorized batch solving.
     base_seed:
         When given, each experiment that accepts a ``seed`` gets
         ``task_seed(exp_id, base_seed)``; when ``None`` (default) the
@@ -272,7 +271,6 @@ def run_experiments(
         (
             exp_id,
             task_seed(exp_id, base_seed) if base_seed is not None else None,
-            use_batch,
             dict(overrides.get(exp_id, {})),
         )
         for exp_id in chosen
@@ -292,7 +290,6 @@ def run_replications(
     *,
     jobs: int = 1,
     base_seed: int = 0,
-    use_batch: bool = False,
     checkpoint: str | os.PathLike[str] | CheckpointJournal | None = None,
     **kwargs: Any,
 ) -> list[ExperimentRun]:
@@ -300,17 +297,25 @@ def run_replications(
 
     Replication ``i`` always receives ``task_seed(f"{exp_id}/rep{i}",
     base_seed)`` — derived from its index, not from worker order — so the
-    replication set is identical at any ``jobs`` count.  The experiment
-    must accept a ``seed`` parameter for the replications to differ.
-    ``checkpoint`` enables journal-based resume exactly as in
-    :func:`run_experiments`.
+    replication set is identical at any ``jobs`` count.  ``checkpoint``
+    enables journal-based resume exactly as in :func:`run_experiments`.
+
+    Raises :class:`ValueError` for an unknown id, for ``n < 1``, and for
+    an experiment that takes no ``seed`` (its replications would all be
+    the same run).
     """
     from repro.experiments import ALL_EXPERIMENTS
 
     if exp_id not in ALL_EXPERIMENTS:
         raise ValueError(f"unknown experiment id {exp_id!r}")
+    if n < 1:
+        raise ValueError(f"replications must be >= 1, got {n}")
+    if not _takes_seed(exp_id):
+        raise ValueError(
+            f"experiment {exp_id!r} takes no seed, so its replications would be identical"
+        )
     tasks = [
-        (exp_id, task_seed(f"{exp_id}/rep{i}", base_seed), use_batch, dict(kwargs))
+        (exp_id, task_seed(f"{exp_id}/rep{i}", base_seed), dict(kwargs))
         for i in range(n)
     ]
     outcomes = _execute(

@@ -15,9 +15,9 @@ Design constraints the format serves:
   task completes; a process killed mid-write leaves at most one partial
   final line, which :meth:`CheckpointJournal.load` skips.
 - **Identity, not position.**  A task's key hashes the full call identity
-  (experiment id, seed, batch flag, keyword overrides, replication
-  index), so resuming with a *different* task list simply misses the
-  journal and recomputes — stale entries are inert, never wrong.
+  (experiment id, seed, keyword overrides, replication index), so
+  resuming with a *different* task list simply misses the journal and
+  recomputes — stale entries are inert, never wrong.
 - **Self-describing lines.**  Each record carries the readable identity
   fields next to the opaque payload, so ``jq`` over the journal shows
   what has finished without unpickling anything.
@@ -47,7 +47,6 @@ _VERSION = 1
 def task_key(
     exp_id: str,
     seed: int | None,
-    use_batch: bool,
     kwargs: Mapping[str, Any],
     replication: int | None = None,
 ) -> str:
@@ -61,7 +60,6 @@ def task_key(
     identity = (
         exp_id,
         seed,
-        bool(use_batch),
         tuple(sorted((str(k), repr(v)) for k, v in kwargs.items())),
         replication,
     )

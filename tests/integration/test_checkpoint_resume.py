@@ -43,7 +43,7 @@ class TestCheckpointedRuns:
         # The resumed run journaled the remaining task.
         journal = CheckpointJournal(journal_path)
         assert all(
-            task_key(exp_id, None, False, {}) in journal for exp_id in IDS
+            task_key(exp_id, None, {}) in journal for exp_id in IDS
         )
 
     def test_resume_from_killed_mid_write_journal(self, tmp_path):
@@ -60,18 +60,20 @@ class TestCheckpointedRuns:
         journal_path = tmp_path / "j.jsonl"
         run_experiments(["F3"], checkpoint=journal_path)
         journal = CheckpointJournal(journal_path)
-        assert task_key("F3", None, False, {}) in journal
+        assert task_key("F3", None, {}) in journal
         # A different seed is a different identity: not restored.
-        assert task_key("F3", 123, False, {}) not in journal
+        assert task_key("F3", 123, {}) not in journal
 
 
 class TestReplicationsResume:
     def test_pooled_resume_matches_serial(self, tmp_path):
-        serial = run_replications("F3", 4, base_seed=3)
+        serial = run_replications("T2.1", 4, base_seed=3, n_trials=20)
         journal = tmp_path / "reps.jsonl"
         # Interrupt: journal only two replications, then resume pooled.
-        run_replications("F3", 2, base_seed=3, checkpoint=journal)
-        resumed = run_replications("F3", 4, base_seed=3, jobs=2, checkpoint=journal)
+        run_replications("T2.1", 2, base_seed=3, checkpoint=journal, n_trials=20)
+        resumed = run_replications(
+            "T2.1", 4, base_seed=3, jobs=2, checkpoint=journal, n_trials=20
+        )
         assert _summaries(serial) == _summaries(resumed)
 
 

@@ -115,18 +115,35 @@ class TestExperiments:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("(total")]
         assert strip(serial) == strip(parallel)
 
-    def test_batch_flag(self, capsys):
-        assert main(["experiments", "F1", "--batch"]) == 0
-        assert "[PASS]" in capsys.readouterr().out
-
     def test_replications(self, capsys):
-        assert main(["experiments", "F1", "--replications", "2"]) == 0
+        assert main(["experiments", "T2.1", "--replications", "2"]) == 0
         out = capsys.readouterr().out
-        assert "F1#0" in out and "F1#1" in out
+        assert "T2.1#0" in out and "T2.1#1" in out
 
     def test_replications_require_single_id(self):
         with pytest.raises(SystemExit):
             main(["experiments", "F1", "F3", "--replications", "2"])
+
+    def test_batch_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiments", "F1", "--batch"])
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiments", "F1", "--jobs", "-3"],
+            ["run", "--count", "1", "--jobs", "-2"],
+            ["faults", "run", "--scenario", "shed", "--jobs", "0"],
+            ["faults", "fuzz", "--count", "1", "--jobs", "0"],
+            ["perf", "record", "--jobs", "0"],
+        ],
+    )
+    def test_jobs_below_one_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
 
     def test_unknown_id(self):
         with pytest.raises(SystemExit):

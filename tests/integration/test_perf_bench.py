@@ -42,7 +42,7 @@ class TestSolveCacheTaskCounters:
         from repro.experiments.runner import _call_experiment
 
         linear_cache_clear()
-        _result, _duration, snapshot = _call_experiment("X2", None, False, {})
+        _result, _duration, snapshot = _call_experiment("X2", None, {})
         counters = snapshot["counters"]
         assert counters.get("cache.solve_linear.task_hits", 0) > 0
         assert counters.get("cache.solve_linear.task_misses", 0) > 0

@@ -70,17 +70,18 @@ class TestRunnerApi:
         assert run.result.format() == direct.format()
         assert run.seed is None
 
-    def test_use_batch_does_not_change_results(self):
-        kwargs = {"T2.1": {"workload": TINY, "n_trials": 20}}
-        scalar = run_experiments(["T2.1"], use_batch=False, experiment_kwargs=kwargs)
-        batched = run_experiments(["T2.1"], use_batch=True, experiment_kwargs=kwargs)
-        assert format_runs(scalar) == format_runs(batched)
-
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiments(["nope"])
         with pytest.raises(ValueError, match="unknown experiment"):
             run_replications("nope", 2)
+
+    def test_replications_refuse_identical_runs(self):
+        # Without a seed every replication would be the same run.
+        with pytest.raises(ValueError, match="takes no seed"):
+            run_replications("F1", 2)
+        with pytest.raises(ValueError, match=">= 1"):
+            run_replications("T2.1", 0)
 
     def test_durations_recorded(self):
         [run] = run_experiments(["F1"])
@@ -158,7 +159,7 @@ class TestWorkerCacheStats:
             )
 
         monkeypatch.setitem(ALL_EXPERIMENTS, "CACHE-PROBE", cache_user)
-        result, _duration, snapshot = _call_experiment("CACHE-PROBE", None, False, {})
+        result, _duration, snapshot = _call_experiment("CACHE-PROBE", None, {})
         assert result.passed
         counters = snapshot["counters"]
         # The warm replay hits 4 times; misses depend on what earlier
