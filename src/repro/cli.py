@@ -15,9 +15,8 @@ Commands
     Run one experiment from the DESIGN.md index (or ``all``).
 ``experiments``
     Run the experiment suite through the parallel runner
-    (``--jobs N`` worker processes, ``--bench`` to record speedups in
-    ``BENCH_batch.json``, ``--checkpoint PATH`` to journal finished
-    tasks so an interrupted run resumes with identical results).
+    (``--jobs N`` worker processes, ``--checkpoint PATH`` to journal
+    finished tasks so an interrupted run resumes with identical results).
 ``run``
     Population runs of the mechanism with structured tracing:
     ``python -m repro run --m 4 --count 10 --trace out.jsonl --metrics
@@ -27,8 +26,9 @@ Commands
     out.jsonl [--metrics metrics.json]``.
 ``perf``
     Wall-clock performance workflow (see :mod:`repro.obs.perf` /
-    :mod:`repro.obs.bench`): ``perf record`` runs the benchmark suite
-    and appends a machine-fingerprinted row to ``BENCH_history.jsonl``,
+    :mod:`repro.obs.bench`): ``perf record`` runs the benchmark suite,
+    writes ``BENCH_batch.json`` and appends a machine-fingerprinted row
+    to ``BENCH_history.jsonl``,
     ``perf report`` renders the profiling span tree and p50/p95/p99
     latency tables from the recorded snapshot, and ``perf diff``
     exits nonzero when a gated bench row regressed vs. the best
@@ -37,10 +37,9 @@ Commands
     Mechanism-as-a-service (see :mod:`repro.serve`): ``serve start``
     runs the TCP JSON-lines front-end whose dispatcher micro-batches
     concurrent requests into stacked batch-engine calls (bitwise-equal
-    to solo scalar runs), ``serve load`` fires a deterministic mixed
-    workload at a running service and verifies every response bitwise,
-    and ``serve bench`` measures solo-scalar vs micro-batched RPS and
-    latency percentiles per flush policy.
+    to solo scalar runs), and ``serve load`` fires a deterministic mixed
+    workload at a running service and verifies every response bitwise.
+    The service's speed is measured by ``perfbench/`` over loopback TCP.
 ``faults``
     Declarative fault injection (see :mod:`repro.faults`):
     ``python -m repro faults list`` shows the scenario catalog,
@@ -53,6 +52,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -73,6 +73,13 @@ def _jobs(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
     return jobs
+
+
+def _threshold(text: str) -> float:
+    threshold = float(text)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return threshold
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,15 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     exps.add_argument(
         "--replications", type=int, default=None, metavar="N",
         help="run a single experiment N times with per-replication derived seeds",
-    )
-    exps.add_argument(
-        "--bench", action="store_true",
-        help="measure scalar-vs-batch and serial-vs-parallel speedups and write them to --bench-path",
-    )
-    exps.add_argument("--bench-path", default="BENCH_batch.json", help="output path for --bench")
-    exps.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="PATH",
-        help="append a machine-fingerprinted trajectory row here on --bench ('' to skip)",
     )
     exps.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -273,18 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--read-timeout", type=float, default=60.0, metavar="S",
         help="per-response read deadline in seconds",
     )
-    serve_bench = serve_sub.add_parser(
-        "bench", help="solo-scalar vs micro-batched dispatch bench (no sockets)"
-    )
-    serve_bench.add_argument("--count", type=int, default=200, help="requests per lane")
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument(
-        "--pool-workers", default="1,2,4", metavar="LIST",
-        help="comma-separated worker counts for the serve_pool sweep ('' to skip)",
-    )
-    serve_bench.add_argument(
-        "--report", default=None, metavar="PATH", help="write the JSON section to PATH"
-    )
 
     faults = sub.add_parser("faults", help="declarative fault injection (see repro.faults)")
     faults_sub = faults.add_subparsers(dest="faults_command", required=True)
@@ -335,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_record.add_argument("--bench-path", default="BENCH_batch.json", help="full-record output path")
     perf_record.add_argument("--history", default="BENCH_history.jsonl", help="append-only trajectory path")
-    perf_record.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the parallel sections")
     perf_report = perf_sub.add_parser(
         "report", help="span tree and latency percentiles from a bench record or metrics report"
     )
@@ -353,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="take baseline rows from this history file instead of earlier rows of --history",
     )
     perf_diff.add_argument(
-        "--threshold", type=float, default=0.5,
+        "--threshold", type=_threshold, default=0.5,
         help="allowed slowdown fraction before failing (0.5 = 50%%, generous for wall-clock noise)",
     )
 
@@ -521,56 +506,12 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _print_serve_summary(section) -> None:
-    solo = section["solo"]
-    print(
-        f"serve: {section['count']} mixed requests "
-        f"({'/'.join(section['topologies'])}, m in {section['sizes']}); "
-        f"solo scalar {solo['rps']:.0f} req/s "
-        f"(p50 {solo['p50_ms']:.2f}ms p95 {solo['p95_ms']:.2f}ms p99 {solo['p99_ms']:.2f}ms)"
-    )
-    for row in section["policies"]:
-        note = "" if row["bitwise_equal"] else " [BITWISE MISMATCH — timing untrusted]"
-        print(
-            f"  {row['policy']:>14}: {row['rps']:.0f} req/s "
-            f"(p50 {row['p50_ms']:.2f}ms p95 {row['p95_ms']:.2f}ms "
-            f"p99 {row['p99_ms']:.2f}ms, mean batch {row['mean_batch_size']:.1f}, "
-            f"{row['flushes']} flushes p50 {row['flush_p50_ms']:.2f}ms)"
-            f"{note}"
-        )
-    print(f"  bitwise equal across all policies: {section['bitwise_equal']}")
-    pool = section.get("serve_pool")
-    if pool:
-        pool_solo = pool["solo"]
-        print(
-            f"serve_pool: {pool['count']} mixed requests "
-            f"({'/'.join(pool['topologies'])}, policy {pool['policy']}); "
-            f"solo scalar {pool_solo['rps']:.0f} req/s"
-        )
-        for row in pool["workers"]:
-            note = "" if row["bitwise_equal"] else " [BITWISE MISMATCH — timing untrusted]"
-            print(
-                f"  workers={row['workers']}: {row['rps']:.0f} req/s "
-                f"(p50 {row['p50_ms']:.2f}ms p95 {row['p95_ms']:.2f}ms "
-                f"p99 {row['p99_ms']:.2f}ms)"
-                f"{note}"
-            )
-        print(f"  bitwise equal across all worker counts: {pool['bitwise_equal']}")
-
-
 def _print_bench_summary(record, bench_path, history_path) -> None:
     solve = record["batch_solve"]
-    par = record["parallel_runner"]
     print(
         f"batch solve: {solve['n_networks']} x {solve['m'] + 1}-processor chains, "
         f"{solve['scalar_loop_s']:.4f}s scalar vs {solve['batch_s']:.4f}s batched "
         f"({solve['speedup']:.1f}x)"
-    )
-    par_note = "" if par.get("valid", True) else f" [INVALID: {par.get('invalid_reason')}]"
-    print(
-        f"parallel runner ({record['machine']['cpu_count']} cpus): "
-        f"{par['serial_s']:.3f}s serial vs {par['parallel_s']:.3f}s with "
-        f"--jobs {par['jobs']} ({par['speedup']:.2f}x){par_note}"
     )
     mech = record["mech_batch"]
     print(
@@ -584,9 +525,6 @@ def _print_bench_summary(record, bench_path, history_path) -> None:
         f"{mix['scalar_s']:.3f}s scalar vs {mix['batch_s']:.3f}s batched "
         f"({mix['speedup']:.1f}x, bitwise equal: {mix['bitwise_equal']})"
     )
-    serve = record.get("serve")
-    if serve:
-        _print_serve_summary(serve)
     rt = record.get("runtime")
     if rt:
         print(
@@ -609,19 +547,8 @@ def _print_bench_summary(record, bench_path, history_path) -> None:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.experiments.runner import (
-        format_runs,
-        run_experiments,
-        run_replications,
-        write_benchmark,
-    )
+    from repro.experiments.runner import format_runs, run_experiments, run_replications
 
-    if args.bench:
-        jobs = args.jobs if args.jobs > 1 else 4
-        history = getattr(args, "history", "BENCH_history.jsonl") or None
-        record = write_benchmark(args.bench_path, jobs=jobs, history_path=history)
-        _print_bench_summary(record, args.bench_path, history)
-        return 0
     try:
         if args.replications is not None:
             if len(args.ids) != 1:
@@ -864,84 +791,66 @@ def _cmd_serve(args) -> int:
             pass
         return 0
 
-    if args.serve_command == "load":
-        from repro.runtime.retry import RetryPolicy
-        from repro.serve.client import mixed_workload, run_load, shutdown_server
+    # serve load
+    from repro.runtime.retry import RetryPolicy
+    from repro.serve.client import mixed_workload, run_load, shutdown_server
 
-        sizes = [int(x) for x in args.sizes]
-        topologies = tuple(t.strip() for t in args.topologies.split(",") if t.strip())
-        tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
-        priorities = tuple(
-            int(p) for p in args.priorities.split(",") if p.strip()
-        )
-        requests = mixed_workload(
-            args.count,
-            seed=args.seed,
-            sizes=sizes,
-            topologies=topologies or ("chain", "star"),
-            tenants=tenants or ("default",),
-            priorities=priorities or (0,),
-        )
-        policy = RetryPolicy(
-            max_attempts=max(1, args.connect_retries),
-            base_timeout=args.connect_timeout,
-            max_timeout=max(args.connect_timeout * 4, args.connect_timeout),
-        )
-
-        async def _load():
-            report = await run_load(
-                args.host,
-                args.port,
-                requests,
-                connections=args.connections,
-                verify=not args.no_verify,
-                policy=policy,
-                read_timeout=args.read_timeout,
-            )
-            if args.shutdown:
-                await shutdown_server(args.host, args.port, policy=policy)
-            return report
-
-        report = asyncio.run(_load())
-        lat = report["latency_ms"]
-        print(
-            f"{report['ok']}/{report['requests']} ok over "
-            f"{report['connections']} connection(s) in {report['elapsed_s']:.3f}s "
-            f"({report['rps']:.0f} req/s); latency p50 {lat['p50']:.2f}ms "
-            f"p95 {lat['p95']:.2f}ms p99 {lat['p99']:.2f}ms; "
-            f"served {report['served_engines']} "
-            f"(mean batch {report['mean_batch_size']:.1f})"
-        )
-        if len(report.get("tenants_ok", {})) > 1:
-            print(f"per-tenant ok: {report['tenants_ok']}")
-        if "bitwise_equal" in report:
-            print(f"bitwise equal to solo scalar runs: {report['bitwise_equal']}")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"report -> {args.report}")
-        if report["errors"] or not report.get("bitwise_equal", True):
-            return 1
-        return 0
-
-    # serve bench
-    from repro.serve.bench import benchmark_serve
-
-    pool_workers = tuple(
-        int(w) for w in args.pool_workers.split(",") if w.strip()
+    sizes = [int(x) for x in args.sizes]
+    topologies = tuple(t.strip() for t in args.topologies.split(",") if t.strip())
+    tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
+    priorities = tuple(
+        int(p) for p in args.priorities.split(",") if p.strip()
     )
-    section = benchmark_serve(
-        count=args.count, seed=args.seed, pool_workers=pool_workers
+    requests = mixed_workload(
+        args.count,
+        seed=args.seed,
+        sizes=sizes,
+        topologies=topologies or ("chain", "star"),
+        tenants=tenants or ("default",),
+        priorities=priorities or (0,),
     )
-    _print_serve_summary(section)
+    policy = RetryPolicy(
+        max_attempts=max(1, args.connect_retries),
+        base_timeout=args.connect_timeout,
+        max_timeout=max(args.connect_timeout * 4, args.connect_timeout),
+    )
+
+    async def _load():
+        report = await run_load(
+            args.host,
+            args.port,
+            requests,
+            connections=args.connections,
+            verify=not args.no_verify,
+            policy=policy,
+            read_timeout=args.read_timeout,
+        )
+        if args.shutdown:
+            await shutdown_server(args.host, args.port, policy=policy)
+        return report
+
+    report = asyncio.run(_load())
+    lat = report["latency_ms"]
+    print(
+        f"{report['ok']}/{report['requests']} ok over "
+        f"{report['connections']} connection(s) in {report['elapsed_s']:.3f}s "
+        f"({report['rps']:.0f} req/s); latency p50 {lat['p50']:.2f}ms "
+        f"p95 {lat['p95']:.2f}ms p99 {lat['p99']:.2f}ms; "
+        f"served {report['served_engines']} "
+        f"(mean batch {report['mean_batch_size']:.1f})"
+    )
+    if len(report.get("tenants_ok", {})) > 1:
+        print(f"per-tenant ok: {report['tenants_ok']}")
+    if "bitwise_equal" in report:
+        print(f"bitwise equal to solo scalar runs: {report['bitwise_equal']}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(section, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report -> {args.report}")
-    pool_equal = section.get("serve_pool", {}).get("bitwise_equal", True)
-    return 0 if section["bitwise_equal"] and pool_equal else 1
+    if report["errors"] or not report.get("bitwise_equal", True):
+        return 1
+    return 0
 
 
 def _cmd_perf(args) -> int:
@@ -950,9 +859,8 @@ def _cmd_perf(args) -> int:
     if args.perf_command == "record":
         from repro.experiments.runner import write_benchmark
 
-        jobs = args.jobs if args.jobs > 1 else 4
         history = args.history or None
-        record = write_benchmark(args.bench_path, jobs=jobs, history_path=history)
+        record = write_benchmark(args.bench_path, history_path=history)
         _print_bench_summary(record, args.bench_path, history)
         return 0
 
@@ -969,8 +877,7 @@ def _cmd_perf(args) -> int:
                     record = json.load(fh)
             except FileNotFoundError:
                 print(
-                    f"{args.bench_path} not found; run `python -m repro perf record` "
-                    "(or `experiments --bench`) first",
+                    f"{args.bench_path} not found; run `python -m repro perf record` first",
                     file=sys.stderr,
                 )
                 return 2

@@ -20,9 +20,8 @@ __all__ = ["run_x11_faults"]
 
 def run_x11_faults(*, seed: int = 0, jobs: int = 1) -> ExperimentResult:
     """Experiment X11 (extension) — the fault-catalog scenario matrix."""
-    # Imported here, not at module level: repro.faults.runner imports the
-    # experiment runner's task_seed, so a module-level import would make
-    # the two packages circularly dependent.
+    # Imported here, not at module level, so that loading the experiment
+    # registry does not load the fault-injection package.
     from repro.faults.catalog import BUILTIN_SCENARIOS
     from repro.faults.runner import run_scenario, zero_fault_differential
 

@@ -103,9 +103,8 @@ def _crash_conservation_table(*, seed: int) -> tuple[Table, bool]:
 
 def run_x12_resilience(*, seed: int = 0, jobs: int = 1) -> ExperimentResult:
     """Experiment X12 (extension) — crash-fault-tolerant runtime matrix."""
-    # Imported here, not at module level: repro.faults.runner imports the
-    # experiment runner's task_seed, so a module-level import would make
-    # the two packages circularly dependent.
+    # Imported here, not at module level, so that loading the experiment
+    # registry does not load the fault-injection package.
     from repro.faults.catalog import BUILTIN_SCENARIOS
     from repro.faults.fuzz import fuzz_scenarios
     from repro.faults.runner import run_scenario

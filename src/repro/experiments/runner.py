@@ -12,22 +12,19 @@ the pool only changes wall-clock time, never results.
 Results are always returned in submission order (``ids`` order,
 replication index order), regardless of completion order.
 
-:func:`benchmark_batch` measures the three speedups this layer exists
-for — vectorized batch solving vs. looped scalar solving, the parallel
-runner vs. serial execution, and the batched Phase I–IV mechanism engine
-vs. scalar protocol runs — and :func:`write_benchmark` records them in
-``BENCH_batch.json`` so future changes have a performance trajectory to
-compare against.
+:func:`benchmark_batch` measures the speedups the batch layer exists
+for — vectorized batch solving vs. looped scalar solving and the batched
+Phase I–IV mechanism engine vs. scalar protocol runs — and
+:func:`write_benchmark` records them in ``BENCH_batch.json`` (the
+``python -m repro perf record`` entry point) so future changes have a
+performance trajectory to compare against.
 """
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import os
-import platform
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -37,7 +34,9 @@ from repro.experiments.harness import ExperimentResult
 from repro.obs.bench import annotate_sections, append_history, history_row
 from repro.obs.metrics import collecting, get_registry
 from repro.obs.perf import span as perf_span
+from repro.obs.report import machine_info
 from repro.runtime.checkpoint import CheckpointJournal, task_key
+from repro.seeding import task_seed
 
 __all__ = [
     "ExperimentRun",
@@ -57,18 +56,6 @@ def _as_journal(
     if checkpoint is None or isinstance(checkpoint, CheckpointJournal):
         return checkpoint
     return CheckpointJournal(checkpoint)
-
-
-def task_seed(name: str, base_seed: int = 0) -> int:
-    """Deterministic 32-bit seed for task ``name``.
-
-    Derived by hashing ``base_seed`` and the task name with SHA-256
-    (stable across processes and Python invocations, unlike ``hash()``),
-    so a task's seed depends only on *what* it is — never on which worker
-    runs it or in what order.
-    """
-    digest = hashlib.sha256(f"{base_seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 @dataclass(frozen=True)
@@ -388,68 +375,23 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-#: Experiments timed by the serial-vs-parallel benchmark: mid-weight ids
-#: whose combined runtime is long enough to amortize pool startup.
-BENCH_EXPERIMENT_IDS = ("T2.1", "X1", "X2", "X4", "T5.4", "X9")
-
-
-def _cache_replay_worker(networks: list) -> tuple[int, int, int]:
-    """Replay a chunk of networks through ``solve_linear_cached`` twice
-    and report this process's own lru statistics.
-
-    Module-level so it pickles into pool workers: each worker has a
-    private cache, so the returned ``(hits, misses, size)`` is traffic
-    the parent's :func:`~repro.dlt.batch.linear_cache_info` never sees.
-    """
-    from repro.dlt.batch import linear_cache_clear, linear_cache_info, solve_linear_cached
-
-    linear_cache_clear()
-    for net in networks:
-        solve_linear_cached(net)
-    for net in networks:
-        solve_linear_cached(net)
-    info = linear_cache_info()
-    return info.hits, info.misses, info.currsize
-
-
-def _task_cache_totals(runs: Sequence[ExperimentRun]) -> tuple[int, int]:
-    """Sum the per-task ``solve_linear_cached`` counters across ``runs``.
-
-    The counters travel inside each task's metrics snapshot, so this sees
-    every process's cache traffic — including pool workers whose own lru
-    statistics are unreachable from the parent.
-    """
-    hits = misses = 0
-    for run in runs:
-        counters = (run.metrics or {}).get("counters", {})
-        hits += int(counters.get("cache.solve_linear.task_hits", 0))
-        misses += int(counters.get("cache.solve_linear.task_misses", 0))
-    return hits, misses
-
-
 def benchmark_batch(
     *,
     n_networks: int = 1000,
     m: int = 10,
     seed: int = 7,
-    experiment_ids: Sequence[str] = BENCH_EXPERIMENT_IDS,
-    jobs: int = 4,
     mech_m: int = 8,
     mech_count: int = 300,
-    serve_count: int = 200,
-    serve_pool_workers: Sequence[int] = (1, 2, 4),
 ) -> dict[str, Any]:
-    """Measure the three speedups of this layer and return the record.
+    """Measure the batch layer's speedups and return the record.
 
-    1. *Batch solving*: ``n_networks`` random ``(m+1)``-processor chains
-       solved by a scalar :func:`~repro.dlt.linear.solve_linear_boundary`
-       loop vs. one :func:`~repro.dlt.batch.solve_linear_batch` call
-       (timed both pre-stacked and end-to-end including stacking).
-    2. *Parallel running*: ``experiment_ids`` executed serially vs. with
-       ``jobs`` worker processes.  The ``solve_cache`` section reports
-       both the parent-process lru statistics and the per-task counters
-       merged across all workers (labelled with the worker count) — the
-       parent-only numbers silently undercount under ``jobs > 1``.
+    1. *Batch solving* (``batch_solve``): ``n_networks`` random
+       ``(m+1)``-processor chains solved by a scalar
+       :func:`~repro.dlt.linear.solve_linear_boundary` loop vs. one
+       :func:`~repro.dlt.batch.solve_linear_batch` call (timed both
+       pre-stacked and end-to-end including stacking).
+    2. *Solve cache* (``solve_cache``): the same networks replayed
+       through ``solve_linear_cached`` cold, then warm.
     3. *Batched mechanism runs* (``mech_batch``): a T5.3-sized
        Monte Carlo population of ``mech_count`` chains through scalar
        ``DLSLBLMechanism.run`` loops vs. one batched Phase I–IV engine
@@ -459,21 +401,13 @@ def benchmark_batch(
        the masked verdict columns' overhead is measured, not assumed; both
        rows record ``bitwise_equal`` and timings are only meaningful
        when it is true.
-    4. *Micro-batched serving* (``serve``): the same ``serve_count``
-       mixed chain/star workload dispatched solo-scalar vs through the
-       service's micro-batching dispatcher under each flush policy
-       (:func:`repro.serve.bench.benchmark_serve`), with RPS and
-       p50/p95/p99 latency per policy.  Like ``mech_batch``, every
-       policy row records ``bitwise_equal`` against the solo summaries
-       and a false value invalidates the section's timings.  The nested
-       ``serve_pool`` subsection repeats the sweep over
-       ``serve_pool_workers`` worker-process counts on a tree-including
-       workload, with its own bitwise gate.
+    4. *Resilient runtime* (``runtime``, ``byzantine_mix``): one small
+       lossy session with a crash, then the same chain under a
+       Byzantine storm.
 
-    Kernel timings are best-of-3 wall clock; experiment and mechanism
-    sets run once.  ``cpu_count`` is recorded because the parallel
-    speedup is bounded by the cores actually available — on a
-    single-core machine it cannot exceed 1.
+    Kernel timings are best-of-3 wall clock; the mechanism sets and
+    the runtime sessions run once.  The service's speed is measured by
+    ``perfbench/`` over real loopback TCP, not here.
     """
     import numpy as np
 
@@ -492,10 +426,8 @@ def benchmark_batch(
 
     # Everything below runs inside one collecting() scope so the bench's
     # own perf spans and latency histograms (mechanism phases, solve
-    # kernels, runtime, per-experiment attribution — including whatever
-    # pool workers shipped back) end up in one snapshot, embedded in the
-    # record for `python -m repro perf report`.
-    bench_registry = get_registry()  # rebound by collecting() below
+    # kernels, runtime) end up in one snapshot, embedded in the record
+    # for `python -m repro perf report`.
     with collecting() as bench_registry:
         rng = np.random.default_rng(seed)
         networks = [random_linear_network(m, rng) for _ in range(n_networks)]
@@ -517,25 +449,6 @@ def benchmark_batch(
         warm_s = time.perf_counter() - warm_start
         cache = linear_cache_info()
         record_cache_metrics()
-
-        # The same replay sharded over the pool: per-worker caches hit and
-        # miss on their own, invisibly to the parent lru counters above.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            worker_stats = list(
-                pool.map(_cache_replay_worker, [networks[i::jobs] for i in range(jobs)])
-            )
-        pooled_hits = sum(s[0] for s in worker_stats)
-        pooled_misses = sum(s[1] for s in worker_stats)
-
-        ids = list(experiment_ids)
-        start = time.perf_counter()
-        serial_runs = run_experiments(ids, jobs=1)
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel_runs = run_experiments(ids, jobs=jobs)
-        parallel_s = time.perf_counter() - start
-        serial_hits, serial_misses = _task_cache_totals(serial_runs)
-        worker_hits, worker_misses = _task_cache_totals(parallel_runs)
 
         # Scalar-vs-batch mechanism runs: the same population both ways,
         # checked for bitwise-equal summaries before the timings are trusted.
@@ -567,15 +480,6 @@ def benchmark_batch(
         mix_batch_s = time.perf_counter() - start
         mix_equal = mix_scalar.runs == mix_batched.runs
 
-        # Solo-scalar vs micro-batched dispatch over the service's mixed
-        # workload; every policy's responses are bitwise-checked against
-        # the solo summaries before the timings are trusted.
-        from repro.serve.bench import benchmark_serve
-
-        serve_section = benchmark_serve(
-            count=serve_count, seed=seed, pool_workers=tuple(serve_pool_workers)
-        )
-
         # A small resilient session (lossy transport, one crash) so the
         # runtime.setup/epoch/settlement spans and the retry/delivery
         # latency histograms show up in the embedded perf snapshot.
@@ -605,11 +509,7 @@ def benchmark_batch(
         perf_snapshot = bench_registry.snapshot()
 
     record = {
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": sys.version.split()[0],
-        },
+        "machine": machine_info(),
         "batch_solve": {
             "n_networks": n_networks,
             "m": m,
@@ -631,20 +531,6 @@ def benchmark_batch(
             "size": cache.currsize,
             "maxsize": cache.maxsize,
             "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-            "workers": jobs,
-            "worker_hits": pooled_hits,
-            "worker_misses": pooled_misses,
-            "serial_task_hits": serial_hits,
-            "serial_task_misses": serial_misses,
-            "worker_task_hits": worker_hits,
-            "worker_task_misses": worker_misses,
-        },
-        "parallel_runner": {
-            "experiment_ids": ids,
-            "jobs": jobs,
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
-            "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
         },
         "mech_batch": {
             "m": mech_m,
@@ -663,7 +549,6 @@ def benchmark_batch(
                 "bitwise_equal": bool(mix_equal),
             },
         },
-        "serve": serve_section,
         "runtime": {
             "m": len(rt_z),
             "faults": len(rt_faults),

@@ -29,7 +29,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.experiments.runner import task_seed
 from repro.faults.catalog import get_scenario
 from repro.faults.injector import (
     FaultyAgent,
@@ -41,6 +40,7 @@ from repro.faults.spec import ScenarioSpec
 from repro.mechanism.rows import agent_rates, build_mechanism, draw_network
 from repro.obs.metrics import collecting, get_registry, merge_snapshots
 from repro.obs.tracer import TraceEvent, Tracer, events_to_jsonl, merge_traces
+from repro.seeding import task_seed
 
 __all__ = ["ScenarioResult", "run_scenario", "zero_fault_differential"]
 

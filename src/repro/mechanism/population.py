@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.experiments.runner import task_seed
 from repro.mechanism.rows import map_ordered, run_rows, solo_row
 from repro.obs.metrics import collecting, fold_snapshots, get_registry
 from repro.obs.tracer import TraceEvent, merge_traces
+from repro.seeding import task_seed
 
 __all__ = ["PopulationResult", "make_deviant", "run_population"]
 

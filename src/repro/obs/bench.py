@@ -1,20 +1,19 @@
 """Benchmark trajectory: fingerprints, BENCH_history.jsonl, perf diff.
 
-``BENCH_batch.json`` is a single overwritten snapshot; this module turns
-``--bench`` runs into a *trajectory*.  Every run appends one row to an
-append-only JSONL history file, stamped with a machine fingerprint so
-numbers from different boxes are never compared, and ``python -m repro
-perf diff`` gates the newest row against the best same-machine baseline.
+``BENCH_batch.json`` is a single overwritten snapshot, written by
+``python -m repro perf record``; this module turns those runs into a
+*trajectory*.  Every run appends one row to an append-only JSONL history
+file, stamped with a machine fingerprint so numbers from different boxes
+are never compared, and ``python -m repro perf diff`` gates the newest
+row against the best same-machine baseline.
 
 Three concerns live here:
 
 - :func:`machine_fingerprint` — the ``machine`` stanza plus a short
   stable hash of it; every bench section and history row carries it.
 - Section validity — :func:`annotate_sections` marks bench sections
-  that cannot be trusted (today: parallel-speedup rows measured with
-  more jobs than cores, like the 0.95x ``parallel_runner`` row recorded
-  on a 1-core box).  Invalid rows stay in the record for honesty but
-  are excluded from regression gating.
+  whose bitwise self-check failed.  Invalid rows stay in the record for
+  honesty but are excluded from regression gating.
 - The gate — :func:`history_row` extracts the gated seconds
   (``batch_solve``, ``mech_batch``, ``deviant_mix``, ``solve_cache``)
   from a bench record, :func:`append_history` persists the row, and
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from typing import Any, Iterable, Mapping
@@ -50,16 +50,9 @@ __all__ = [
 
 #: Bench sections whose timings participate in regression gating, and
 #: where inside the record each gated number lives (seconds, lower is
-#: better).  ``mech_batch``/``deviant_mix``/``serve``/``serve_pool``
-#: are only gated when their bitwise self-check passed.
-GATED_METRICS = (
-    "batch_solve",
-    "mech_batch",
-    "deviant_mix",
-    "solve_cache",
-    "serve",
-    "serve_pool",
-)
+#: better).  ``mech_batch``/``deviant_mix`` are only gated when their
+#: bitwise self-check passed.
+GATED_METRICS = ("batch_solve", "mech_batch", "deviant_mix", "solve_cache")
 
 
 def machine_fingerprint(info: Mapping[str, Any] | None = None) -> dict[str, Any]:
@@ -84,36 +77,21 @@ def annotate_sections(record: dict[str, Any]) -> dict[str, Any]:
     """Stamp every bench section with the fingerprint and a validity flag.
 
     Mutates and returns ``record``.  A section is invalid when its
-    timing cannot mean what it claims; each invalid section carries an
-    ``invalid_reason``.  Current rules:
-
-    - ``parallel_runner`` with ``jobs > cpu_count``: the "parallel"
-      timing oversubscribed the machine, so its speedup reads as a
-      regression on small boxes while saying nothing about the code.
-    - any section with ``bitwise_equal: false``: timing of a wrong
-      result.
+    ``bitwise_equal`` self-check failed — its timing is that of a wrong
+    result — and then carries an ``invalid_reason``.
     """
     machine = machine_fingerprint(record.get("machine"))
     record["machine"] = machine
-    cpu_count = machine.get("cpu_count") or 1
     for name, section in record.items():
         # "perf" is an embedded metrics snapshot, not a bench section.
         if not isinstance(section, dict) or name in ("machine", "perf"):
             continue
         section["machine_fingerprint"] = machine["fingerprint"]
-        valid, reason = True, None
-        jobs = section.get("jobs")
-        if jobs is not None and jobs > cpu_count:
-            valid = False
-            reason = f"jobs={jobs} exceeds cpu_count={cpu_count}; parallel timing oversubscribed"
-        if section.get("bitwise_equal") is False:
-            valid = False
-            reason = "bitwise self-check failed; timing of a wrong result"
-        section["valid"] = valid
-        if reason is not None:
-            section["invalid_reason"] = reason
-        elif "invalid_reason" in section:
-            del section["invalid_reason"]
+        section["valid"] = section.get("bitwise_equal") is not False
+        if section["valid"]:
+            section.pop("invalid_reason", None)
+        else:
+            section["invalid_reason"] = "bitwise self-check failed; timing of a wrong result"
     return record
 
 
@@ -144,20 +122,6 @@ def _gated_seconds(record: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
             "seconds": cache["warm_pass_s"],
             "valid": bool(cache.get("valid", True)),
         }
-    serve = record.get("serve") or {}
-    if "batched_s" in serve:
-        out["serve"] = {
-            "seconds": serve["batched_s"],
-            "valid": bool(serve.get("valid", True)) and bool(serve.get("bitwise_equal", False)),
-        }
-    # serve_pool nests inside serve; its timing only gates when its own
-    # bitwise sweep came back clean (and the parent section is valid).
-    pool = serve.get("serve_pool") or {}
-    if "pooled_s" in pool:
-        out["serve_pool"] = {
-            "seconds": pool["pooled_s"],
-            "valid": bool(serve.get("valid", True)) and bool(pool.get("bitwise_equal", False)),
-        }
     return out
 
 
@@ -172,12 +136,10 @@ def _workload_signature(record: Mapping[str, Any]) -> str:
     batch = record.get("batch_solve") or {}
     mech = record.get("mech_batch") or {}
     cache = record.get("solve_cache") or {}
-    serve = record.get("serve") or {}
     return (
         f"solve{batch.get('n_networks', '?')}x{batch.get('m', '?')}"
         f"/cache{cache.get('n_networks', '?')}"
         f"/mech{mech.get('m', '?')}x{mech.get('count', '?')}"
-        f"/serve{serve.get('count', '?')}"
     )
 
 
@@ -190,7 +152,6 @@ def history_row(record: Mapping[str, Any], label: str | None = None) -> dict[str
     traces; they are allowed — required, even — to differ run to run).
     """
     machine = machine_fingerprint(record.get("machine"))
-    cache = record.get("solve_cache") or {}
     row = {
         "schema": 1,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
@@ -199,14 +160,6 @@ def history_row(record: Mapping[str, Any], label: str | None = None) -> dict[str
         "cpu_count": machine.get("cpu_count"),
         "python": machine.get("python"),
         "gated": _gated_seconds(record),
-        "solve_cache_tasks": {
-            "task_hits": (
-                cache.get("serial_task_hits", 0) + cache.get("worker_task_hits", 0)
-            ),
-            "task_misses": (
-                cache.get("serial_task_misses", 0) + cache.get("worker_task_misses", 0)
-            ),
-        },
     }
     if label:
         row["label"] = label
@@ -249,8 +202,12 @@ def diff_history(
     Returns ``{"status": "ok" | "regression" | "no-data",
     "fingerprint": ..., "metrics": {name: {...}}, "regressions": [...]}``.
     ``baseline_rows`` overrides the in-file baseline (the ``--baseline``
-    flag): the newest row still comes from ``rows``.
+    flag): the newest row still comes from ``rows``.  ``threshold`` must
+    be finite and non-negative: ``current > nan`` and ``current > inf``
+    are never true, so such a gate would pass any slowdown.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     rows = list(rows)
     if not rows:
         return {"status": "no-data", "metrics": {}, "regressions": [], "reason": "empty history"}

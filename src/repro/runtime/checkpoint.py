@@ -6,7 +6,7 @@ interrupted ``python -m repro experiments --checkpoint J`` run can be
 re-invoked with the same arguments: tasks whose keys appear in the
 journal are restored instead of re-executed, and because every task's
 result is a pure function of its identity (seed derivation in
-:func:`repro.experiments.runner.task_seed`), the resumed run's output is
+:func:`repro.seeding.task_seed`), the resumed run's output is
 identical to an uninterrupted run's.
 
 Design constraints the format serves:

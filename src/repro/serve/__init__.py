@@ -23,7 +23,6 @@ Modules
 - :mod:`repro.serve.pool` — worker processes executing flush groups.
 - :mod:`repro.serve.service` — the asyncio TCP server.
 - :mod:`repro.serve.client` — load generator with local bitwise verify.
-- :mod:`repro.serve.bench` — solo vs micro-batched latency/RPS bench.
 """
 
 from repro.serve.admission import AdmissionError, AdmissionQueue

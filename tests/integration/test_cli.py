@@ -136,7 +136,6 @@ class TestExperiments:
             ["run", "--count", "1", "--jobs", "-2"],
             ["faults", "run", "--scenario", "shed", "--jobs", "0"],
             ["faults", "fuzz", "--count", "1", "--jobs", "0"],
-            ["perf", "record", "--jobs", "0"],
         ],
     )
     def test_jobs_below_one_rejected(self, argv, capsys):
@@ -148,6 +147,39 @@ class TestExperiments:
     def test_unknown_id(self):
         with pytest.raises(SystemExit):
             main(["experiments", "nope"])
+
+
+class TestBenchEntryPoint:
+    """``perf record`` is the one benchmark entry point."""
+
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [
+            (["experiments", "--bench"], "--bench"),
+            (["experiments", "F1", "--bench-path", "x.json"], "--bench-path"),
+            (["experiments", "F1", "--history", "h.jsonl"], "--history"),
+            (["perf", "record", "--jobs", "2"], "--jobs 2"),
+        ],
+        ids=["experiments-bench", "bench-path", "history", "perf-record-jobs"],
+    )
+    def test_removed_flags_are_errors(self, argv, unrecognized, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
+
+    def test_serve_bench_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+    def test_perf_diff_threshold_must_be_finite_and_non_negative(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "diff", "--history", str(tmp_path / "h.jsonl"), "--threshold", value])
+        assert excinfo.value.code == 2
+        assert "--threshold: must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestParser:

@@ -8,7 +8,6 @@ import os
 import signal
 import time
 
-from repro.cli import main
 from repro.serve.client import (
     mixed_workload,
     request_once,
@@ -261,11 +260,3 @@ class TestServiceEndToEnd:
         assert report["ok"] == 12 and report["bitwise_equal"] is True
         assert reply == {"ok": True, "stopping": True}
 
-
-class TestServeCLI:
-    def test_serve_bench_exits_0_and_reports_policies(self, capsys):
-        assert main(["serve", "bench", "--count", "12", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "solo" in out
-        assert "batch8@2ms" in out
-        assert "bitwise" in out

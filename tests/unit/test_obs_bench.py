@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.obs.bench import (
+    GATED_METRICS,
     annotate_sections,
     append_history,
     diff_history,
@@ -18,31 +19,17 @@ from repro.obs.bench import (
 )
 
 
-def _record(cpu_count=4, jobs=2, bitwise=True, batch_s=0.1, warm_s=0.02, pool_bitwise=True):
+def _record(cpu_count=4, bitwise=True, batch_s=0.1, warm_s=0.02):
     return {
         "machine": {"cpu_count": cpu_count, "platform": "test", "python": "3.11.0"},
         "batch_solve": {"batch_s": batch_s, "scalar_loop_s": 1.0},
-        "parallel_runner": {"jobs": jobs, "serial_s": 1.0, "parallel_s": 0.6},
         "mech_batch": {
             "batch_s": 0.3,
             "scalar_s": 1.0,
             "bitwise_equal": bitwise,
             "deviant_mix": {"batch_s": 0.4, "bitwise_equal": bitwise},
         },
-        "solve_cache": {
-            "warm_pass_s": warm_s,
-            "cold_pass_s": 0.2,
-            "serial_task_hits": 30,
-            "serial_task_misses": 700,
-            "worker_task_hits": 25,
-            "worker_task_misses": 5,
-        },
-        "serve": {
-            "count": 200,
-            "batched_s": 0.5,
-            "bitwise_equal": bitwise,
-            "serve_pool": {"pooled_s": 0.6, "bitwise_equal": pool_bitwise},
-        },
+        "solve_cache": {"warm_pass_s": warm_s, "cold_pass_s": 0.2},
     }
 
 
@@ -71,24 +58,19 @@ class TestFingerprint:
 
 class TestAnnotateSections:
     def test_sections_get_fingerprint_and_validity(self):
-        record = annotate_sections(_record(cpu_count=4, jobs=2))
+        record = annotate_sections(_record(cpu_count=4))
         fp = record["machine"]["fingerprint"]
-        for name in ("batch_solve", "parallel_runner", "mech_batch", "solve_cache"):
+        for name in ("batch_solve", "mech_batch", "solve_cache"):
             assert record[name]["machine_fingerprint"] == fp
             assert record[name]["valid"] is True
-
-    def test_oversubscribed_jobs_invalidate_the_section(self):
-        record = annotate_sections(_record(cpu_count=1, jobs=2))
-        runner = record["parallel_runner"]
-        assert runner["valid"] is False
-        assert "oversubscribed" in runner["invalid_reason"]
-        # Sections without a jobs field are untouched by the rule.
-        assert record["batch_solve"]["valid"] is True
 
     def test_failed_bitwise_check_invalidates_the_section(self):
         record = annotate_sections(_record(bitwise=False))
         assert record["mech_batch"]["valid"] is False
         assert "bitwise" in record["mech_batch"]["invalid_reason"]
+        # Sections without a self-check stay valid.
+        assert record["batch_solve"]["valid"] is True
+        assert "invalid_reason" not in record["batch_solve"]
 
     def test_perf_snapshot_is_not_annotated(self):
         raw = _record()
@@ -106,7 +88,9 @@ class TestHistoryRow:
         assert row["gated"]["mech_batch"]["valid"] is True
         assert row["gated"]["deviant_mix"]["seconds"] == 0.4
         assert row["gated"]["solve_cache"]["seconds"] == 0.02
-        assert row["solve_cache_tasks"] == {"task_hits": 55, "task_misses": 705}
+        assert GATED_METRICS == ("batch_solve", "mech_batch", "deviant_mix", "solve_cache")
+        assert set(row["gated"]) == set(GATED_METRICS)
+        assert "solve_cache_tasks" not in row
         assert row["fingerprint"] == machine_fingerprint(
             {"cpu_count": 4, "platform": "test", "python": "3.11.0"}
         )["fingerprint"]
@@ -115,20 +99,6 @@ class TestHistoryRow:
         row = history_row(annotate_sections(_record(bitwise=False)))
         assert row["gated"]["mech_batch"]["valid"] is False
         assert row["gated"]["deviant_mix"]["valid"] is False
-
-    def test_serve_pool_gates_on_its_own_bitwise_sweep(self):
-        row = history_row(annotate_sections(_record()))
-        assert row["gated"]["serve"]["seconds"] == 0.5
-        assert row["gated"]["serve_pool"]["seconds"] == 0.6
-        assert row["gated"]["serve_pool"]["valid"] is True
-        # A dirty pool sweep invalidates serve_pool without touching the
-        # parent serve row.
-        row = history_row(annotate_sections(_record(pool_bitwise=False)))
-        assert row["gated"]["serve"]["valid"] is True
-        assert row["gated"]["serve_pool"]["valid"] is False
-        # An invalid parent serve section poisons the nested row too.
-        row = history_row(annotate_sections(_record(bitwise=False)))
-        assert row["gated"]["serve_pool"]["valid"] is False
 
     def test_append_and_read_round_trip(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -180,6 +150,8 @@ class TestDiffHistory:
     def test_row_carries_a_workload_signature(self):
         row = history_row(annotate_sections(_record()))
         assert "workload" in row and "mech" in row["workload"]
+        # The committed trajectory rows use this format; no serve suffix.
+        assert "serve" not in row["workload"]
 
     def test_different_fingerprints_never_compare(self):
         rows = _rows(0.01, fingerprint="other") + _rows(0.5)
@@ -207,6 +179,16 @@ class TestDiffHistory:
         baseline = _rows(0.1)
         result = diff_history(current, threshold=0.5, baseline_rows=baseline)
         assert result["status"] == "regression"
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_threshold_is_refused(self, threshold):
+        # nan/inf would pass any slowdown (x > nan is false); a negative
+        # threshold would flag every metric.
+        with pytest.raises(ValueError, match="threshold"):
+            diff_history(_rows(0.10, 9.0), threshold=threshold)
+
+    def test_zero_threshold_flags_any_slowdown(self):
+        assert diff_history(_rows(0.10, 0.11), threshold=0.0)["status"] == "regression"
 
     def test_format_diff_mentions_regressions(self):
         result = diff_history(_rows(0.10, 0.20), threshold=0.5)
