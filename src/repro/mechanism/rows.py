@@ -34,11 +34,16 @@ registry instead.
 The rng discipline: a solo run consumes ``default_rng(seed)`` as network
 draw, then one ``rng.random()`` per audit; a pre-shaped ``rng.random(m)``
 block equals those sequential draws bitwise.  Stacked chain and star
-rows make the same generator calls in the same order —
+rows take the same ``3m + 1`` standard uniforms in the same order —
 :func:`~repro.network.generators.draw_rates` (``m + 1`` rates, then
 ``m`` links), then the audit block — straight into the stack's ``w``,
-``z`` and draw matrices, so no network object is built per row and the
-stream is the solo run's by construction.  The batch engine validates
+``z`` and draw matrices, with no network object per row.  A stack of at
+least :data:`~repro.rngstack.CROSSOVER` rows draws every row's stream in
+one vectorized :func:`~repro.rngstack.random_stack` pass (a
+re-implementation of ``default_rng``); smaller stacks, and seeds outside
+``[0, 2**64)``, make the solo run's own generator calls per row.  The
+property tests (``test_prop_rngstack.py``) prove both paths equal to
+the solo stream bitwise.  The batch engine validates
 the finished stack once (finite, strictly positive: one reduction per
 matrix) where the solo run validates each network.
 """
@@ -230,12 +235,31 @@ class RowsResult:
 def _draw_stack(m: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(n, m+1)`` rates ``w``, ``(n, m)`` links ``z`` and ``(n, m)``
     audit draws of chain or star rows ``seeds``, drawn straight into the
-    stack: per seed, the solo recipe's generator calls in its order
-    (:func:`~repro.network.generators.draw_rates`, then one audit draw
-    per agent), with no network object per row."""
-    from repro.network.generators import draw_rates
+    stack with no network object per row.
+
+    Each row is the solo recipe's stream: ``default_rng(seed)`` drawn by
+    :func:`~repro.network.generators.draw_rates` (the uniform regime's
+    ``m + 1`` rates, then ``m`` links), then one audit draw per agent,
+    ``3m + 1`` standard uniforms in all.  A stack of at least
+    :data:`~repro.rngstack.CROSSOVER` rows whose seeds all lie in
+    ``[0, 2**64)`` draws them in one :func:`~repro.rngstack.random_stack`
+    pass and applies the regime's ``uniform`` arithmetic to its columns;
+    the property tests prove that equal to the loop bitwise.  Smaller
+    stacks and any other seed (which ``default_rng`` accepts or rejects
+    itself) take one generator per row.
+    """
+    from repro.network.generators import REGIMES, draw_rates
+    from repro.rngstack import CROSSOVER, random_stack
 
     n = len(seeds)
+    if n >= CROSSOVER and all(
+        isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64 for seed in seeds
+    ):
+        unit = random_stack(seeds, 3 * m + 1)
+        uniform = REGIMES["uniform"]
+        w = uniform.draw_w.scale(unit[:, : m + 1])
+        z = uniform.draw_z.scale(unit[:, m + 1 : 2 * m + 1])
+        return w, z, unit[:, 2 * m + 1 :]
     w = np.empty((n, m + 1))
     z = np.empty((n, m))
     draws = np.empty((n, m))

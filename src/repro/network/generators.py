@@ -19,6 +19,7 @@ from repro.network.topology import LinearNetwork, StarNetwork, TreeNetwork, Tree
 __all__ = [
     "NetworkRegime",
     "REGIMES",
+    "Uniform",
     "draw_rates",
     "random_linear_network",
     "random_star_network",
@@ -50,11 +51,22 @@ class NetworkRegime:
         return random_linear_network(m, rng, regime=self)
 
 
-def _uniform(low: float, high: float) -> Callable[[np.random.Generator, int], np.ndarray]:
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(low, high, size)
+@dataclass(frozen=True)
+class Uniform:
+    """``rng.uniform(low, high, size)`` as a regime draw, with its bounds
+    readable by callers that draw standard uniforms themselves."""
 
-    return draw
+    low: float
+    high: float
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size)
+
+    def scale(self, unit: np.ndarray) -> np.ndarray:
+        """``rng.uniform``'s arithmetic, ``low + (high - low) * d``, on
+        standard draws ``d``: ``scale(rng.random(n))`` equals
+        ``rng.uniform(low, high, n)`` on the same stream bitwise."""
+        return self.low + (self.high - self.low) * unit
 
 
 def _lognormal(mean: float, sigma: float) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -68,14 +80,14 @@ def _lognormal(mean: float, sigma: float) -> Callable[[np.random.Generator, int]
 REGIMES: dict[str, NetworkRegime] = {
     "uniform": NetworkRegime(
         name="uniform",
-        draw_w=_uniform(1.0, 10.0),
-        draw_z=_uniform(0.1, 1.0),
+        draw_w=Uniform(1.0, 10.0),
+        draw_z=Uniform(0.1, 1.0),
         description="w ~ U(1, 10), z ~ U(0.1, 1): fast links, mixed CPUs",
     ),
     "homogeneous": NetworkRegime(
         name="homogeneous",
-        draw_w=_uniform(5.0, 5.0 + 1e-9),
-        draw_z=_uniform(0.5, 0.5 + 1e-9),
+        draw_w=Uniform(5.0, 5.0 + 1e-9),
+        draw_z=Uniform(0.5, 0.5 + 1e-9),
         description="identical processors and links",
     ),
     "heterogeneous": NetworkRegime(
@@ -86,14 +98,14 @@ REGIMES: dict[str, NetworkRegime] = {
     ),
     "slow-links": NetworkRegime(
         name="slow-links",
-        draw_w=_uniform(1.0, 5.0),
-        draw_z=_uniform(2.0, 10.0),
+        draw_w=Uniform(1.0, 5.0),
+        draw_z=Uniform(2.0, 10.0),
         description="communication dominates computation",
     ),
     "fast-links": NetworkRegime(
         name="fast-links",
-        draw_w=_uniform(5.0, 20.0),
-        draw_z=_uniform(0.01, 0.1),
+        draw_w=Uniform(5.0, 20.0),
+        draw_z=Uniform(0.01, 0.1),
         description="computation dominates communication",
     ),
 }

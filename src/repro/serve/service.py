@@ -200,7 +200,9 @@ class MechanismService:
     ) -> None:
         try:
             msg = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # ValueError also covers invalid UTF-8 (UnicodeDecodeError) and
+        # integers past the int-to-str digit limit, not only JSONDecodeError.
+        except ValueError as exc:
             get_registry().inc("serve.rejected_malformed")
             await self._write(writer, lock, {"ok": False, "error": f"bad json: {exc}"})
             return

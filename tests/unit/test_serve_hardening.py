@@ -82,6 +82,36 @@ class TestMalformedInput:
         assert pong == {"ok": True, "pong": True}
         assert _rejected() == 3.0
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(b"\xff\xff\n", id="invalid-utf8"),
+            # Past the int-to-str digit limit: a plain ValueError, not a
+            # JSONDecodeError.
+            pytest.param(b'{"op": "run", "seed": ' + b"9" * 5000 + b"}\n", id="huge-int"),
+        ],
+    )
+    def test_undecodable_line_gets_bad_json_reply(self, line):
+        async def _go(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                writer.write(line)
+                await writer.drain()
+                reply = json.loads(await asyncio.wait_for(reader.readline(), 10))
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                pong = json.loads(await asyncio.wait_for(reader.readline(), 10))
+                return reply, pong
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        reply, pong = asyncio.run(_with_service(_go))
+        assert reply["ok"] is False
+        assert reply["error"].startswith("bad json: ")
+        assert pong == {"ok": True, "pong": True}
+        assert _rejected() == 1.0
+
     def test_oversized_line_rejected_connection_survives(self):
         async def _go(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
