@@ -16,6 +16,17 @@ Compare ``format()`` text, not ``Table.rows``: X1's stacked outlay sums
 differ from the protocol runs' in the last bits (≤ 5e-14 relative) but
 print identically.
 
+The ``X4`` (DLS-LIL) and ``X6`` (tree mechanism) sections have no array
+path; they pin the scalar mechanisms themselves.  They were appended
+later, written the same way at commit 10498c4 (the parent of the change
+that merged the four scalar mechanisms onto one protocol skeleton)::
+
+    git archive 10498c4 src | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src:. python - <<'PY' >> tests/data/experiments_scalar.txt
+    from tests.properties.test_prop_use_batch import render
+    print("".join(f"### {c}\\n{render(c)}\\n" for c in ("X4", "X6")), end="")
+    PY
+
 The library helpers the experiments call keep their own differential
 tests here: ``sweep_bids_batch`` / ``truthful_utilities_batch`` against
 the full mechanism, and the vectorized solution-bonus Monte Carlo
@@ -58,6 +69,9 @@ CASES: dict[str, tuple[str, dict]] = {
     "X3-small": ("X3", {"n_runs": 30, "deltas": (0.5, 8.0), "qs": (0.25, 1.0)}),
     "X5-small": ("X5", {"sizes": (1, 2, 4), "instances": 2}),
     "T2.1-tiny": ("T2.1", {"workload": TINY, "n_trials": 20}),
+    # The scalar-only extensions: DLS-LIL (X4) and the tree mechanism (X6).
+    "X4": ("X4", {}),
+    "X6": ("X6", {}),
 }
 
 
