@@ -2,6 +2,9 @@
 
 - :mod:`repro.mechanism.payments` — the payment structure of Phase IV
   (valuation, compensation, recompense, bonus, utility; eqs. 4.3–4.11).
+- :mod:`repro.mechanism.protocol` — the scalar protocol skeleton the
+  four mechanisms share (outcome, run wrapper, settlement, Phase I–IV
+  arm helpers).
 - :mod:`repro.mechanism.dls_lbl` — the four-phase mechanism orchestrator
   over strategic agents.
 - :mod:`repro.mechanism.audit` — probabilistic payment audits (fine
@@ -26,7 +29,8 @@ from repro.mechanism.payments import (
     valuation,
 )
 from repro.mechanism.audit import AuditRecord, Auditor
-from repro.mechanism.dls_lbl import AgentReport, DLSLBLMechanism, MechanismOutcome
+from repro.mechanism.protocol import AgentReport
+from repro.mechanism.dls_lbl import DLSLBLMechanism, MechanismOutcome
 from repro.mechanism.dls_lil import DLSLILMechanism, InteriorOutcome, verify_split
 from repro.mechanism.star_mechanism import StarMechanism, StarOutcome, star_bonus
 from repro.mechanism.tree_mechanism import TreeMechanism, TreeOutcome

@@ -174,17 +174,14 @@ def solo_row(
     outcome = mech.run()
     fines = sum(e.amount for e in outcome.ledger.entries if e.creditor == MECHANISM)
     fields = {
-        # TreeOutcome has no completed/aborted_phase/adjudications/audits
-        # (the tree mechanism always completes); the getattr defaults
-        # state exactly that, matching a completed chain/star run.
-        "completed": bool(getattr(outcome, "completed", True)),
-        "aborted_phase": getattr(outcome, "aborted_phase", None),
+        "completed": bool(outcome.completed),
+        "aborted_phase": outcome.aborted_phase,
         # float() casts are exact and keep the fields JSON-serializable;
         # an aborted run has no makespan.
         "makespan": None if outcome.makespan is None else float(outcome.makespan),
         "fines_total": float(fines),
-        "n_grievances": len(getattr(outcome, "adjudications", ())),
-        "n_audits": len(getattr(outcome, "audits", ())),
+        "n_grievances": len(outcome.adjudications),
+        "n_audits": len(outcome.audits),
         "mechanism_outlay": float(outcome.ledger.mechanism_outlay()),
     }
     return fields, tracer.events if tracer is not None else []

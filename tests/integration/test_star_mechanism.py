@@ -93,6 +93,20 @@ class TestDeviations:
         assert outcome.reports[2].fines > 0
         assert outcome.utility(2) < baseline.utility(2)
 
+    def test_root_detected_abort_has_no_phase_and_no_abort_counter(self):
+        # The wire contract batch_run.contradiction_aborts(star=True)
+        # reproduces: the root fines the child itself, with no
+        # grievance, no aborted phase and no mechanism.aborts count.
+        from repro.obs.metrics import collecting
+
+        with collecting(merge=False) as registry:
+            outcome = run({2: ContradictoryBidAgent(2, TRUE[1])})
+        assert outcome.aborted_phase is None
+        assert outcome.adjudications == [] and outcome.audits == []
+        counters = registry.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("mechanism.aborts")]
+        assert counters["mechanism.fines"] == 1
+
     def test_abandoning_work_is_meter_detected(self, baseline):
         # There is no successor to dump on; the shedding hook abandons
         # work instead, and the meter exposes it.

@@ -49,6 +49,21 @@ def baseline(tree):
     return run(tree)
 
 
+class TestOutcomeFields:
+    @pytest.mark.parametrize(
+        "agent", [MisbiddingAgent(2, RATES[2], bid_factor=1.5), SlowExecutionAgent(3, RATES[3], slowdown=2.0)],
+        ids=["misbid", "slow"],
+    )
+    def test_always_completes_with_no_verdicts(self, tree, agent):
+        outcome = run(tree, {agent.index: agent})
+        assert outcome.completed and outcome.aborted_phase is None
+        assert outcome.adjudications == [] and outcome.audits == []
+        # The "payment" memos are the payment, never a fine or reward.
+        for report in outcome.reports.values():
+            assert report.fines == 0.0 and report.rewards == 0.0
+            assert report.payment_billed == report.payment_correct
+
+
 class TestHonestRun:
     def test_matches_tree_solver(self, tree, baseline):
         sched = solve_tree(tree)
