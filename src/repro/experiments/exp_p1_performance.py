@@ -3,31 +3,21 @@
 Not a paper artifact, but the reproduction's engineering check: the
 vectorized Algorithm 1 solver against the pure-Python reference
 transcription, and the discrete-event simulator's event throughput.
-Times are measured with :mod:`time.perf_counter` here; the
-pytest-benchmark target wraps the same callables for calibrated numbers.
+Each time is the fastest of a few runs
+(:func:`~repro.experiments.harness.best_of`); the pytest-benchmark
+target wraps the same callables for calibrated numbers.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.dlt.linear import solve_linear_boundary, solve_linear_boundary_reference
-from repro.experiments.harness import ExperimentResult, Table
+from repro.experiments.harness import ExperimentResult, Table, best_of
 from repro.network.generators import random_linear_network
 from repro.sim.linear_sim import simulate_linear_chain
 
 __all__ = ["run_p1_performance"]
-
-
-def _time(fn, *, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_p1_performance(
@@ -41,8 +31,8 @@ def run_p1_performance(
     all_ok = True
     for m in sizes:
         network = random_linear_network(m, rng)
-        t_vec = _time(lambda: solve_linear_boundary(network))
-        t_ref = _time(lambda: solve_linear_boundary_reference(network))
+        t_vec = best_of(lambda: solve_linear_boundary(network), repeats=5)
+        t_ref = best_of(lambda: solve_linear_boundary_reference(network), repeats=5)
         sched = solve_linear_boundary(network)
         ref = solve_linear_boundary_reference(network)
         agree = bool(np.allclose(sched.alpha, ref.alpha, rtol=1e-12))
@@ -51,7 +41,7 @@ def run_p1_performance(
         def run_sim():
             return simulate_linear_chain(network, sched.alpha)
 
-        t_sim = _time(run_sim, repeats=3)
+        t_sim = best_of(run_sim, repeats=3)
         result = run_sim()
         # Count actual activity: deep chains truncate once the forwarded
         # remainder falls below the load-dust threshold.

@@ -21,7 +21,7 @@ import numpy as np
 from repro.dlt.batch import solve_linear_batch, solve_star_batch, stack_networks
 from repro.dlt.linear import solve_linear_boundary
 from repro.dlt.star import solve_star
-from repro.experiments.harness import ExperimentResult, Table
+from repro.experiments.harness import ExperimentResult, Table, best_of
 from repro.mechanism.payments import payment_breakdown, payment_breakdown_batch
 from repro.network.generators import random_linear_network, random_star_network
 
@@ -29,15 +29,6 @@ __all__ = ["run_p3_batch"]
 
 #: Scalar/batch agreement tolerance (absolute and relative).
 TOL = 1e-9
-
-
-def _time(fn, *, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_p3_batch(
@@ -58,9 +49,9 @@ def run_p3_batch(
 
     # Linear chains: Algorithm 1, scalar loop vs one stacked call.
     networks = [random_linear_network(m, rng) for _ in range(n_networks)]
-    t_scalar = _time(lambda: [solve_linear_boundary(net) for net in networks])
+    t_scalar = best_of(lambda: [solve_linear_boundary(net) for net in networks], repeats=3)
     w, z = stack_networks(networks)
-    t_batch = _time(lambda: solve_linear_batch(w, z))
+    t_batch = best_of(lambda: solve_linear_batch(w, z), repeats=3)
     scalars = [solve_linear_boundary(net) for net in networks]
     batch = solve_linear_batch(w, z)
     alpha_scalar = np.stack([s.alpha for s in scalars])
@@ -77,9 +68,9 @@ def run_p3_batch(
 
     # Stars: by-link order, scalar loop vs one stacked call.
     stars = [random_star_network(n_children, rng) for _ in range(n_star)]
-    t_scalar_star = _time(lambda: [solve_star(net) for net in stars])
+    t_scalar_star = best_of(lambda: [solve_star(net) for net in stars], repeats=3)
     sw, sz = stack_networks(stars)
-    t_batch_star = _time(lambda: solve_star_batch(sw, sz))
+    t_batch_star = best_of(lambda: solve_star_batch(sw, sz), repeats=3)
     star_scalars = [solve_star(net) for net in stars]
     star_batch = solve_star_batch(sw, sz)
     star_alpha = np.stack([s.alpha for s in star_scalars])

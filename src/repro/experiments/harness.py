@@ -4,14 +4,26 @@ Every experiment returns an :class:`ExperimentResult` holding one or more
 :class:`Table` objects (the rows/series the paper's evaluation would
 report) plus a pass/fail verdict for the property being validated, so
 benchmarks can both *print* the reproduction and *assert* it.
+:func:`best_of` is the one way the experiments time a block.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-__all__ = ["Table", "ExperimentResult"]
+__all__ = ["Table", "ExperimentResult", "best_of"]
+
+
+def best_of(fn: Callable[[], Any], *, repeats: int) -> float:
+    """The fastest of ``repeats`` wall-clock timings of ``fn()``, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 @dataclass

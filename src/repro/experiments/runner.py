@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, best_of
 from repro.obs.bench import annotate_sections, append_history, history_row
 from repro.obs.metrics import collecting, get_registry
 from repro.obs.perf import span as perf_span
@@ -366,15 +366,6 @@ def timing_report(
     return report
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def benchmark_batch(
     *,
     n_networks: int = 1000,
@@ -431,10 +422,10 @@ def benchmark_batch(
     with collecting() as bench_registry:
         rng = np.random.default_rng(seed)
         networks = [random_linear_network(m, rng) for _ in range(n_networks)]
-        scalar_s = _best_of(lambda: [solve_linear_boundary(net) for net in networks])
+        scalar_s = best_of(lambda: [solve_linear_boundary(net) for net in networks], repeats=3)
         w, z = stack_networks(networks)
-        batch_s = _best_of(lambda: solve_linear_batch(w, z))
-        batch_total_s = _best_of(lambda: solve_linear_batch(*stack_networks(networks)))
+        batch_s = best_of(lambda: solve_linear_batch(w, z), repeats=3)
+        batch_total_s = best_of(lambda: solve_linear_batch(*stack_networks(networks)), repeats=3)
 
         # Cache behaviour on a replay workload: a cold pass misses every
         # instance, a second pass over the same networks hits every one.

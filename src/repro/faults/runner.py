@@ -23,7 +23,6 @@ reporting reward ``F`` a betraying member would collect.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,7 +36,7 @@ from repro.faults.injector import (
     fault_records,
 )
 from repro.faults.spec import ScenarioSpec
-from repro.mechanism.rows import agent_rates, build_mechanism, draw_network
+from repro.mechanism.rows import agent_rates, build_mechanism, draw_network, map_ordered
 from repro.obs.metrics import collecting, get_registry, merge_snapshots
 from repro.obs.tracer import TraceEvent, Tracer, events_to_jsonl, merge_traces
 from repro.seeding import task_seed
@@ -80,20 +79,12 @@ class ScenarioResult:
 
 
 def _fines_against(outcome, proc: int) -> float:
-    """Total grievance + audit fines levied on ``proc`` in ``outcome``.
-
-    The tree mechanism models the tamper-proof level (no grievances or
-    audits), so both collections default to empty — but root-side and
-    meter-side fines still appear in its ledger, which is covered below.
-    """
+    """Total grievance + audit fines levied on ``proc`` in ``outcome``,
+    plus the fines that bypass the grievance court."""
     total = sum(
-        v.fine_amount
-        for v in getattr(outcome, "adjudications", ())
-        if v.fined == proc and v.fine_amount > 0
+        v.fine_amount for v in outcome.adjudications if v.fined == proc and v.fine_amount > 0
     )
-    total += sum(
-        a.fine for a in getattr(outcome, "audits", ()) if a.proc == proc and a.fine > 0
-    )
+    total += sum(a.fine for a in outcome.audits if a.proc == proc and a.fine > 0)
     # Star-topology fines that bypass the grievance court: the root
     # detects contradictions itself and the meter detects abandonment.
     total += sum(
@@ -102,18 +93,6 @@ def _fines_against(outcome, proc: int) -> float:
         if e.debtor == proc and ("root-detected" in e.memo or "meter-detected" in e.memo)
     )
     return float(total)
-
-
-def _build_mechanism(scenario, network, agents, rng, tracer):
-    """Construct the scenario's mechanism for its topology."""
-    return build_mechanism(
-        scenario.topology,
-        network,
-        agents,
-        audit_probability=scenario.audit_probability,
-        rng=rng,
-        tracer=tracer,
-    )
 
 
 def _run_scenario_once(
@@ -156,8 +135,15 @@ def _run_scenario_once(
                 theorem=fault["theorem"],
             )
 
-    with collecting() as registry:
-        mech = _build_mechanism(scenario, network, agents, rng, tracer)
+    with collecting(merge=False) as registry:
+        mech = build_mechanism(
+            scenario.topology,
+            network,
+            agents,
+            audit_probability=scenario.audit_probability,
+            rng=rng,
+            tracer=tracer,
+        )
         outcome = mech.run()
 
         baseline = None
@@ -165,12 +151,12 @@ def _run_scenario_once(
             baseline_rng = np.random.default_rng(
                 task_seed(f"faults/{scenario.name}/baseline/{run_index}", seed)
             )
-            baseline_mech = _build_mechanism(
-                scenario,
+            baseline_mech = build_mechanism(
+                scenario.topology,
                 network,
                 [TruthfulAgent(i, t) for i, t in enumerate(true_rates, start=1)],
-                baseline_rng,
-                None,
+                audit_probability=scenario.audit_probability,
+                rng=baseline_rng,
             )
             baseline = baseline_mech.run()
         snapshot = registry.snapshot()
@@ -230,8 +216,8 @@ def _run_scenario_once(
         "seed": run_seed,
         "m": scenario.m,
         "topology": scenario.topology,
-        "completed": getattr(outcome, "completed", True),
-        "aborted_phase": getattr(outcome, "aborted_phase", None),
+        "completed": outcome.completed,
+        "aborted_phase": outcome.aborted_phase,
         "makespan": outcome.makespan,
         "fine": mech.fine,
         "active": active,
@@ -307,7 +293,7 @@ def _run_infrastructure_once(
                 theorem=fault["theorem"],
             )
 
-    with collecting() as registry:
+    with collecting(merge=False) as registry:
         outcome = run_resilient(
             network.w,
             network.z,
@@ -412,18 +398,12 @@ def run_scenario(
     if count < 1:
         raise ValueError("runs must be at least 1")
     tasks = [(scenario, i, seed, trace) for i in range(count)]
-    if jobs <= 1:
-        outcomes = [_run_scenario_once(*task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_scenario_once, *task) for task in tasks]
-            # Submission order, not completion order — determinism.
-            outcomes = [future.result() for future in futures]
-        # Worker runs merged only into the worker-local registries;
-        # bring their metric deltas home (population.py does the same).
-        registry = get_registry()
-        for _summary, _events, snapshot in outcomes:
-            registry.merge(snapshot)
+    outcomes = map_ordered(_run_scenario_once, tasks, jobs)
+    # Each run captured its delta unmerged, in-process or in a worker;
+    # fold them in run order, whatever the job count.
+    registry = get_registry()
+    for _summary, _events, snapshot in outcomes:
+        registry.merge(snapshot)
     summaries = [summary for summary, _events, _snapshot in outcomes]
     events = merge_traces([events for _summary, events, _snapshot in outcomes])
     metrics = merge_snapshots([snapshot for _summary, _events, snapshot in outcomes])

@@ -73,15 +73,25 @@ crashes) and the X8 coalition replay — never reach this module.
 if a caller feeds it a row that files more than one grievance, as an
 internal-invariant guard.
 
-Metrics: the engine emits the same protocol counters as the scalar runs
-(``mechanism.runs``/``star_runs``, ``mechanism.grievances``,
-``grievances_substantiated``, ``mechanism.aborts`` and
-``mechanism.aborts.phase_2``, ``mechanism.audits``,
-``audits_challenged``, ``fines``, ``fine_volume``, ``ledger.transfers``,
-``ledger.volume``) with bitwise-identical totals.  Implementation-cost
-metrics (``crypto.*`` counters) have no batched analogue; batch solves
-add ``dlt.batch.*`` counters, and the ``mech_batch`` / ``mech_batch_star``
-perf spans time the stacked call.
+**Shared shape.**  The two engines keep only their own topology's
+Phases I–III.  They share one input preamble (:func:`_stack`), one
+Phase IV settlement (:func:`_settle`: bills, challenges, ``F/q`` audit
+fines, the ledger fold, valuations and utilities, with the chain's
+Phase II aborts masked out) and one outcome base (:class:`BatchOutcome`).
+
+Metrics: every stacked row's counter delta — a chain row, a star row,
+or a contradiction settled from the draw — comes from one builder
+(:func:`_row_snapshots`): the scalar run's ``mechanism.runs`` /
+``star_runs``, ``mechanism.grievances``, ``grievances_substantiated``,
+``mechanism.aborts`` and ``mechanism.aborts.phase_<k>``,
+``mechanism.audits``, ``audits_challenged``, ``fines``, ``fine_volume``,
+``ledger.transfers`` and ``ledger.volume``, bitwise.  With
+``emit_metrics=True`` the engine folds those rows into the active
+registry in row order, so its totals are the scalar loop's per-run fold
+also in a registry that already holds these counters.
+Implementation-cost metrics (``crypto.*`` counters) have no batched
+analogue; batch solves add ``dlt.batch.*`` counters, and the
+``mech_batch`` / ``mech_batch_star`` perf spans time the stacked call.
 """
 
 from __future__ import annotations
@@ -89,7 +99,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar, TypeVar
 
 import numpy as np
 
@@ -105,12 +115,13 @@ from repro.protocol.verification import CHECK_RTOL
 
 __all__ = [
     "BatchChainOutcome",
+    "BatchOutcome",
     "BatchStarOutcome",
     "chain_row_snapshots",
     "contradiction_aborts",
+    "row_snapshots",
     "run_chain_batch",
     "run_star_batch",
-    "star_row_snapshots",
 ]
 
 #: Mirror of :data:`repro.sim.linear_sim._EPS_LOAD` (sub-threshold loads
@@ -426,106 +437,103 @@ def contradiction_aborts(
     snapshot the scalar run would produce.
     """
     fine = _default_fine(w, total_load)
-    if star:
-        outlay = -fine
-        snapshots = [
-            {
-                "counters": {
-                    "mechanism.star_runs": 1.0,
-                    "ledger.transfers": 1.0,
-                    "ledger.volume": f,
-                    "mechanism.fines": 1.0,
-                    "mechanism.fine_volume": f,
-                }
-            }
-            for f in fine.tolist()
-        ]
-        return fine, outlay, snapshots
-    rewarded = contradictor > 1
+    n_runs = fine.shape[0]
+    rewarded = np.zeros(n_runs, dtype=bool) if star else contradictor > 1
     # The mechanism's balance replays the ledger: F in, then F out to a
     # rewarded predecessor (outlay -0.0, as the scalar ledger reports).
     outlay = -np.where(rewarded, fine - fine, fine)
-    volume = np.where(rewarded, fine + fine, fine).tolist()
-    snapshots = [
-        {
-            "counters": {
-                "mechanism.runs": 1.0,
-                "mechanism.grievances": 1.0,
-                "mechanism.grievances_substantiated": 1.0,
-                "ledger.transfers": 2.0 if paid else 1.0,
-                "ledger.volume": v,
-                "mechanism.fines": 1.0,
-                "mechanism.fine_volume": f,
-                "mechanism.aborts": 1.0,
-                "mechanism.aborts.phase_1": 1.0,
-            }
-        }
-        for f, v, paid in zip(fine.tolist(), volume, rewarded.tolist())
-    ]
+    court = np.full(n_runs, not star)
+    snapshots = _row_snapshots(
+        (BatchStarOutcome if star else BatchChainOutcome).runs_counter,
+        None if star else 1,
+        aborted=np.ones(n_runs, dtype=bool),
+        grievances=court.astype(np.int64),
+        substantiated=court,
+        challenged=np.zeros(w[:, 1:].shape, dtype=bool),
+        fine_entries=np.ones(n_runs, dtype=np.int64),
+        fine_volume=fine,
+        transfers=1 + rewarded,
+        volume=np.where(rewarded, fine + fine, fine),
+    )
     return fine, outlay, snapshots
 
 
-def _fold(values: np.ndarray) -> float:
-    """Left fold in run order — how per-run counter deltas merge."""
-    total = 0.0
-    for v in values:
-        total = total + float(v)
-    return total
+def _row_snapshots(
+    runs_counter: str,
+    abort_phase: int | None,
+    *,
+    aborted: np.ndarray,
+    grievances: np.ndarray,
+    substantiated: np.ndarray,
+    challenged: np.ndarray,
+    fine_entries: np.ndarray,
+    fine_volume: np.ndarray,
+    transfers: np.ndarray,
+    volume: np.ndarray,
+) -> list[dict[str, Any]]:
+    """Per-row counter snapshots: what each row's scalar run adds to the
+    ``mechanism.*`` / ``ledger.*`` counters — the one place a stacked
+    row's counters are written.
 
-
-def _emit_counters(
-    registry, outcome: BatchChainOutcome | BatchStarOutcome, runs_counter: str
-) -> None:
-    """Emit the scalar mechanisms' protocol counters with identical totals.
-
-    Scalar runs increment once per event; summed over a population the
-    counts are exact integers and the float volumes are per-run
-    sequential sums folded in run order — replicated here (keys that a
-    scalar population would never create stay absent)."""
-    n_runs, m = outcome.audit_fines.shape
-    registry.inc(runs_counter, n_runs)
-    n_grievances = int(outcome.grievances.sum())
-    if n_grievances:
-        registry.inc("mechanism.grievances", n_grievances)
-        n_substantiated = int(np.count_nonzero(outcome.substantiated))
-        if n_substantiated:
-            registry.inc("mechanism.grievances_substantiated", n_substantiated)
-    n_aborted = int(np.count_nonzero(outcome.aborted))
-    registry.inc("mechanism.audits", (n_runs - n_aborted) * m)
-    if n_aborted:
-        registry.inc("mechanism.aborts", n_aborted)
-        registry.inc("mechanism.aborts.phase_2", n_aborted)
-    n_challenged = int(np.count_nonzero(outcome.challenged))
-    if n_challenged:
-        registry.inc("mechanism.audits_challenged", n_challenged)
-    n_fine_entries = int(outcome.fine_entries.sum())
-    if n_fine_entries:
-        registry.inc("mechanism.fines", n_fine_entries)
-        registry.inc("mechanism.fine_volume", _fold(outcome.fine_volume))
-    registry.inc("ledger.transfers", int(outcome.transfers.sum()))
-    registry.inc("ledger.volume", _fold(outcome.volume))
+    Every row bumps ``runs_counter``.  A completed row counts one audit
+    per agent (the columns of ``challenged``, an ``(N, m)`` bool
+    matrix); an ``aborted`` row counts none, and counts under
+    ``mechanism.aborts`` / ``mechanism.aborts.phase_<abort_phase>``
+    unless ``abort_phase`` is None (the star's root-detected abort).  The
+    volumes are the per-row left folds of the ledger entries
+    (:func:`_ledger_mirrors`); keys a scalar run would not create stay
+    absent.
+    """
+    audits = float(challenged.shape[1])
+    abort_key = None if abort_phase is None else f"mechanism.aborts.phase_{abort_phase}"
+    aborted = aborted.tolist()
+    grievances = grievances.tolist()
+    substantiated = substantiated.tolist()
+    n_challenged = challenged.sum(axis=1).tolist()
+    n_fines = fine_entries.tolist()
+    fine_volume = fine_volume.tolist()
+    transfers = transfers.tolist()
+    volume = volume.tolist()
+    snapshots: list[dict[str, Any]] = []
+    for k in range(len(volume)):
+        counters: dict[str, float] = {runs_counter: 1.0}
+        if not aborted[k]:
+            counters["mechanism.audits"] = audits
+        if grievances[k]:
+            counters["mechanism.grievances"] = float(grievances[k])
+            if substantiated[k]:
+                counters["mechanism.grievances_substantiated"] = 1.0
+        if n_challenged[k]:
+            counters["mechanism.audits_challenged"] = float(n_challenged[k])
+        if n_fines[k]:
+            counters["mechanism.fines"] = float(n_fines[k])
+            counters["mechanism.fine_volume"] = fine_volume[k]
+        counters["ledger.transfers"] = float(transfers[k])
+        counters["ledger.volume"] = volume[k]
+        if aborted[k] and abort_key is not None:
+            counters["mechanism.aborts"] = 1.0
+            counters[abort_key] = 1.0
+        snapshots.append({"counters": counters})
+    return snapshots
 
 
 @dataclass(frozen=True)
-class BatchChainOutcome:
-    """Stacked outcome of ``N`` chain-mechanism runs (row = run).
+class BatchOutcome:
+    """What both stacked engines produce for ``N`` runs (row = run).
 
-    Column layout follows the scalar mechanism: full-chain arrays have
-    ``m + 1`` columns (root first), per-agent arrays have ``m`` columns
-    for processors ``1 .. m``.
+    Full-network arrays have ``m + 1`` columns (root first), per-agent
+    arrays ``m`` columns for agents ``1 .. m``.  Subclasses name the
+    run counter and the phase their aborted rows count under.
     """
 
+    runs_counter: ClassVar[str]
+    abort_phase: ClassVar[int | None]
+
     bids: np.ndarray            # (N, m+1) — root column is the obedient root rate
-    w_bar: np.ndarray           # (N, m+1) equivalent bids
-    alpha_hat: np.ndarray       # (N, m+1) mechanism-faithful local fractions
-    received_share: np.ndarray  # (N, m+1) D_i per unit load
     assigned: np.ndarray        # (N, m+1) absolute load units
-    retained: np.ndarray        # (N, m+1) Phase III retention plan
-    received_actual: np.ndarray  # (N, m+1) what actually flowed (0 past a stop)
     computed: np.ndarray        # (N, m+1) sim-metered computation
     actual_rates: np.ndarray    # (N, m+1) metered rates (root included)
-    arrival_times: np.ndarray   # (N, m+1)
-    makespan: np.ndarray        # (N,)
+    makespan: np.ndarray        # (N,) NaN for an aborted run
     fine: np.ndarray            # (N,)
     correct_q: np.ndarray       # (N, m) provable Phase IV payments
     billed_q: np.ndarray        # (N, m)
@@ -541,17 +549,13 @@ class BatchChainOutcome:
     fine_volume: np.ndarray     # (N,) per-run mechanism.fine_volume delta
     fine_entries: np.ndarray    # (N,) per-run mechanism.fines delta
     transfers: np.ndarray       # (N,) per-run ledger.transfers delta
-    grievances: np.ndarray      # (N,) Phase II/III grievances filed (0 or 1)
+    grievances: np.ndarray      # (N,) grievances filed (0 or 1)
     substantiated: np.ndarray   # (N,) bool — the court upheld the grievance
-    aborted: np.ndarray         # (N,) bool — a G-message check failed (Phase II abort)
+    aborted: np.ndarray         # (N,) bool — the run stopped before Phase IV
 
     @property
     def n_runs(self) -> int:
         return self.bids.shape[0]
-
-    @property
-    def n_agents(self) -> int:
-        return self.bids.shape[1] - 1
 
     def utility(self, run: int, index: int) -> float:
         """Utility of processor ``index`` in ``run`` (0 for the root)."""
@@ -561,47 +565,187 @@ class BatchChainOutcome:
 
 
 @dataclass(frozen=True)
-class BatchStarOutcome:
-    """Stacked outcome of ``N`` star-mechanism runs (row = run)."""
+class BatchChainOutcome(BatchOutcome):
+    """Stacked outcome of ``N`` chain-mechanism runs; a run whose
+    G-message check fails aborts in Phase II."""
 
-    bids: np.ndarray            # (N, n+1)
+    runs_counter = "mechanism.runs"
+    abort_phase = 2
+
+    w_bar: np.ndarray           # (N, m+1) equivalent bids
+    alpha_hat: np.ndarray       # (N, m+1) mechanism-faithful local fractions
+    received_share: np.ndarray  # (N, m+1) D_i per unit load
+    retained: np.ndarray        # (N, m+1) Phase III retention plan
+    received_actual: np.ndarray  # (N, m+1) what actually flowed (0 past a stop)
+    arrival_times: np.ndarray   # (N, m+1)
+
+
+@dataclass(frozen=True)
+class BatchStarOutcome(BatchOutcome):
+    """Stacked outcome of ``N`` star-mechanism runs: no grievances, and
+    no stacked star run aborts."""
+
+    runs_counter = "mechanism.star_runs"
+    abort_phase = None
+
     orders: np.ndarray          # (N, n) service order (child indices)
     alpha: np.ndarray           # (N, n+1)
-    assigned: np.ndarray        # (N, n+1)
-    computed: np.ndarray        # (N, n+1)
-    actual_rates: np.ndarray    # (N, n+1)
-    makespan: np.ndarray        # (N,)
-    fine: np.ndarray            # (N,)
-    correct_q: np.ndarray       # (N, n)
-    billed_q: np.ndarray        # (N, n)
-    recomputed_q: np.ndarray    # (N, n)
-    challenged: np.ndarray      # (N, n) bool
-    audit_fines: np.ndarray     # (N, n)
-    valuations: np.ndarray      # (N, n)
-    balances: np.ndarray        # (N, n)
-    utilities: np.ndarray       # (N, n)
-    fines_total: np.ndarray     # (N,)
-    mechanism_outlay: np.ndarray  # (N,)
-    volume: np.ndarray          # (N,)
-    fine_volume: np.ndarray     # (N,)
-    fine_entries: np.ndarray    # (N,)
-    transfers: np.ndarray       # (N,)
-    grievances: np.ndarray      # (N,) always 0: the star files none
-    substantiated: np.ndarray   # (N,) always False
-    aborted: np.ndarray         # (N,) always False: no stacked star run aborts
 
-    @property
-    def n_runs(self) -> int:
-        return self.bids.shape[0]
 
-    @property
-    def n_children(self) -> int:
-        return self.bids.shape[1] - 1
+def row_snapshots(outcome: BatchOutcome) -> list[dict[str, Any]]:
+    """Per-row protocol-counter snapshots of a stacked outcome.
 
-    def utility(self, run: int, index: int) -> float:
-        if index == 0:
-            return 0.0
-        return float(self.utilities[run, index - 1])
+    The row engine (:mod:`repro.mechanism.rows`) merges counters in row
+    order, so the float accumulation order matches a scalar loop
+    exactly.  Each snapshot holds what one scalar run would have
+    contributed, with the same left-fold entry order: the Phase III
+    entries (the chain's grievance fine and reward, the star's
+    meter-detected abandonment fines), the root reimbursement, then per
+    agent its bill and audit fine.  A chain run that aborted in Phase II
+    holds only its grievance entries, no audits, and the
+    ``mechanism.aborts`` / ``mechanism.aborts.phase_2`` counts."""
+    return _row_snapshots(
+        outcome.runs_counter,
+        outcome.abort_phase,
+        aborted=outcome.aborted,
+        grievances=outcome.grievances,
+        substantiated=outcome.substantiated,
+        challenged=outcome.challenged,
+        fine_entries=outcome.fine_entries,
+        fine_volume=outcome.fine_volume,
+        transfers=outcome.transfers,
+        volume=outcome.volume,
+    )
+
+
+#: The name the population trace of ``perfbench`` imports.
+chain_row_snapshots = row_snapshots
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """A stacked call's checked inputs, shared by both engines: the
+    ``(N, m+1)`` true rates ``w`` and ``(N, m)`` links ``z``, the audit
+    probability ``q``, the load, the per-row fine, the full bid matrix
+    (root column first), and the metered rates
+    ``max(execution_rate, true_rate)`` — per agent (``actual``) and root
+    first (``rates_full``)."""
+
+    w: np.ndarray
+    z: np.ndarray
+    q: float
+    load: float
+    fine: np.ndarray
+    bids: np.ndarray
+    actual: np.ndarray
+    rates_full: np.ndarray
+
+
+def _stack(w, z, bids, execution_rates, audit_probability, total_load, fine) -> _Stack:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] < 2:
+        raise InvalidNetworkError(f"w must be (N, m+1) with m >= 1, got {w.shape}")
+    shape = (w.shape[0], w.shape[1] - 1)
+    z = _as_matrix("z", z, shape)
+    q = float(audit_probability)
+    if not 0.0 < q <= 1.0:
+        raise ValueError("audit probability q must be in (0, 1]")
+    load = float(total_load)
+    true_rates = w[:, 1:]
+    bid_arr = true_rates if bids is None else _as_matrix("bids", bids, shape)
+    exec_arr = true_rates
+    if execution_rates is not None:
+        exec_arr = _as_matrix("execution_rates", execution_rates, shape)
+    actual = np.maximum(exec_arr, true_rates)
+    return _Stack(
+        w=w,
+        z=z,
+        q=q,
+        load=load,
+        fine=_fine_vector(fine, w, load),
+        bids=np.concatenate((w[:, :1], bid_arr), axis=1),
+        actual=actual,
+        rates_full=np.concatenate((w[:, :1], actual), axis=1),
+    )
+
+
+_O = TypeVar("_O", bound=BatchOutcome)
+
+
+def _settle(
+    cls: type[_O],
+    stack: _Stack,
+    *,
+    assigned: np.ndarray,
+    computed: np.ndarray,
+    makespan: np.ndarray,
+    correct_q: np.ndarray,
+    recomputed_q: np.ndarray,
+    bill_overcharge: np.ndarray | None,
+    audit_draws: np.ndarray | None,
+    phase3: tuple[_Transfer, ...],
+    emit_metrics: bool,
+    grievances: np.ndarray | None = None,
+    substantiated: np.ndarray | None = None,
+    aborted: np.ndarray | None = None,
+    **own: np.ndarray,
+) -> _O:
+    """Phase IV settlement, the same for the chain and the star: the
+    bills (correct payment plus any markup), the Bernoulli challenges,
+    the ``F/q`` fine on a challenged bill above its recomputation, the
+    ledger fold behind the ``phase3`` entries, valuations and utilities.
+
+    ``aborted`` (the chain's Phase II aborts, None when no row aborted)
+    rows bill, audit and reimburse nothing.  Builds the ``cls`` outcome
+    from those fields and the engine's ``own``; with ``emit_metrics`` its
+    rows fold into the active registry in row order, as a scalar loop's
+    per-run deltas do.
+    """
+    n_runs, m = correct_q.shape
+    if bill_overcharge is None:
+        billed = correct_q
+    else:
+        over = _as_matrix("bill_overcharge", bill_overcharge, (n_runs, m))
+        billed = np.where(over != 0.0, correct_q + over, correct_q)
+    challenged = _challenges(audit_draws, stack.q, (n_runs, m))
+    root_pay = assigned[:, 0] * stack.w[:, 0]
+    if aborted is not None:
+        live = ~aborted
+        billed = np.where(live[:, None], billed, 0.0)
+        challenged = challenged & live[:, None]
+        root_pay = np.where(live, root_pay, 0.0)
+    audit_fines = np.where(
+        challenged & (billed > recomputed_q + BILL_TOL),
+        stack.fine[:, None] / stack.q,
+        0.0,
+    )
+    ledger = _ledger_mirrors(root_pay, billed, audit_fines, phase3, aborted)
+    valuations = -computed[:, 1:] * stack.actual
+    outcome = cls(
+        bids=stack.bids,
+        assigned=assigned,
+        computed=computed,
+        actual_rates=stack.rates_full,
+        makespan=makespan,
+        fine=stack.fine,
+        correct_q=correct_q,
+        billed_q=billed,
+        recomputed_q=recomputed_q,
+        challenged=challenged,
+        audit_fines=audit_fines,
+        valuations=valuations,
+        utilities=valuations + ledger["balances"],
+        grievances=np.zeros(n_runs, dtype=np.int64) if grievances is None else grievances,
+        substantiated=np.zeros(n_runs, dtype=bool) if substantiated is None else substantiated,
+        aborted=np.zeros(n_runs, dtype=bool) if aborted is None else aborted,
+        **ledger,
+        **own,
+    )
+    if emit_metrics:
+        registry = get_registry()
+        for snapshot in row_snapshots(outcome):
+            registry.merge(snapshot)
+    return outcome
 
 
 def run_chain_batch(
@@ -693,20 +837,9 @@ def run_chain_batch(
     ProtocolViolation
         If a row files more than one Phase III grievance.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] < 2:
-        raise InvalidNetworkError(f"w must be (N, m+1) with m >= 1, got {w.shape}")
-    n_runs, m = w.shape[0], w.shape[1] - 1
-    z = _as_matrix("z", z, (n_runs, m))
-    q = float(audit_probability)
-    if not 0.0 < q <= 1.0:
-        raise ValueError("audit probability q must be in (0, 1]")
-    load = float(total_load)
-    fine_arr = _fine_vector(fine, w, load)
-
-    true_rates = w[:, 1:]
-    bid_arr = true_rates if bids is None else _as_matrix("bids", bids, (n_runs, m))
-    full_bids = np.concatenate((w[:, :1], bid_arr), axis=1)
+    stack = _stack(w, z, bids, execution_rates, audit_probability, total_load, fine)
+    z, load, fine_arr, full_bids = stack.z, stack.load, stack.fine, stack.bids
+    n_runs, m = stack.actual.shape
     miscompute = (
         None if w_bar_factor is None else _as_matrix("w_bar_factor", w_bar_factor, (n_runs, m))
     )
@@ -759,13 +892,7 @@ def run_chain_batch(
         # ---- Phase III: honest retention plan, then the store-and-forward
         # cascade with the simulator's load threshold.
         with perf_span("phase_3"):
-            exec_arr = (
-                true_rates
-                if execution_rates is None
-                else _as_matrix("execution_rates", execution_rates, (n_runs, m))
-            )
-            actual = np.maximum(exec_arr, true_rates)
-            rates_full = np.concatenate((w[:, :1], actual), axis=1)
+            actual = stack.actual
             if shed is not None:
                 shed_arr = _as_matrix("shed", shed, (n_runs, m))
                 honest = np.isnan(shed_arr)
@@ -825,7 +952,7 @@ def run_chain_batch(
             arrival = np.zeros(w_bar.shape)
             np.multiply(received_actual[:, 1:], z, out=arrival[:, 1:])
             arrival = np.where(alive, np.cumsum(arrival, axis=1, out=arrival), 0.0)
-            ends = np.where(computed > 0.0, arrival + computed * rates_full, 0.0)
+            ends = np.where(computed > 0.0, arrival + computed * stack.rates_full, 0.0)
             makespan = ends.max(axis=1)
             if any_aborted:
                 # An aborted run computes nothing and has no makespan.
@@ -864,59 +991,28 @@ def run_chain_batch(
                 alpha_hat=side_alpha_hat,
                 w_bar=side_w_bar,
             ).payment
-            if bill_overcharge is None:
-                billed = correct_q
-            else:
-                over = _as_matrix("bill_overcharge", bill_overcharge, (n_runs, m))
-                billed = np.where(over != 0.0, correct_q + over, correct_q)
-
-            challenged = _challenges(audit_draws, q, (n_runs, m))
-            root_pay = assigned[:, 0] * w[:, 0]
-            if any_aborted:
-                # Aborted runs bill, audit and reimburse nothing.
-                live = ~aborted
-                billed = np.where(live[:, None], billed, 0.0)
-                challenged = challenged & live[:, None]
-                root_pay = np.where(live, root_pay, 0.0)
-            audit_fines = np.where(
-                challenged & (billed > recomputed_q + BILL_TOL),
-                fine_arr[:, None] / q,
-                0.0,
+            return _settle(
+                BatchChainOutcome,
+                stack,
+                assigned=assigned,
+                computed=computed,
+                makespan=makespan,
+                correct_q=correct_q,
+                recomputed_q=recomputed_q,
+                bill_overcharge=bill_overcharge,
+                audit_draws=audit_draws,
+                phase3=phase3,
+                emit_metrics=emit_metrics,
+                grievances=grievances,
+                substantiated=substantiated,
+                aborted=aborted if any_aborted else None,
+                w_bar=w_bar,
+                alpha_hat=alpha_hat,
+                received_share=received,
+                retained=retained,
+                received_actual=flowed,
+                arrival_times=arrival,
             )
-            ledger = _ledger_mirrors(
-                root_pay, billed, audit_fines, phase3, aborted if any_aborted else None
-            )
-            valuations = -computed[:, 1:] * actual
-            utilities = valuations + ledger["balances"]
-
-        outcome = BatchChainOutcome(
-            bids=full_bids,
-            w_bar=w_bar,
-            alpha_hat=alpha_hat,
-            received_share=received,
-            assigned=assigned,
-            retained=retained,
-            received_actual=flowed,
-            computed=computed,
-            actual_rates=rates_full,
-            arrival_times=arrival,
-            makespan=makespan,
-            fine=fine_arr,
-            correct_q=correct_q,
-            billed_q=billed,
-            recomputed_q=recomputed_q,
-            challenged=challenged,
-            audit_fines=audit_fines,
-            valuations=valuations,
-            utilities=utilities,
-            grievances=grievances,
-            substantiated=substantiated,
-            aborted=aborted,
-            **ledger,
-        )
-        if emit_metrics:
-            _emit_counters(get_registry(), outcome, "mechanism.runs")
-    return outcome
 
 
 def _star_shares(
@@ -976,22 +1072,12 @@ def run_star_batch(
     raise :class:`~repro.exceptions.InvalidNetworkError` as in the chain
     engine.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] < 2:
-        raise InvalidNetworkError(f"w must be (N, n+1) with n >= 1, got {w.shape}")
     # The one check of the whole stack (the chain engine's runs in its
     # stacked solve).
     w, z = _validate_stack(w, z)
-    n_runs, n = w.shape[0], w.shape[1] - 1
-    q = float(audit_probability)
-    if not 0.0 < q <= 1.0:
-        raise ValueError("audit probability q must be in (0, 1]")
-    load = float(total_load)
-    fine_arr = _fine_vector(fine, w, load)
-
-    true_rates = w[:, 1:]
-    bid_arr = true_rates if bids is None else _as_matrix("bids", bids, (n_runs, n))
-    full_bids = np.concatenate((w[:, :1], bid_arr), axis=1)
+    stack = _stack(w, z, bids, execution_rates, audit_probability, total_load, fine)
+    load, fine_arr, full_bids, actual = stack.load, stack.fine, stack.bids, stack.actual
+    n_runs, n = actual.shape
 
     with perf_span("mech_batch_star"):
         # Service order: non-decreasing link time, stable per row — the
@@ -1007,13 +1093,6 @@ def run_star_batch(
         alpha[runs, orders] = alpha_served
         assigned = alpha * load
 
-        exec_arr = (
-            true_rates
-            if execution_rates is None
-            else _as_matrix("execution_rates", execution_rates, (n_runs, n))
-        )
-        actual = np.maximum(exec_arr, true_rates)
-        rates_full = np.concatenate((w[:, :1], actual), axis=1)
         # An honest child completes its whole assignment: the scalar
         # clip(max(assigned - 0, 0), 0, assigned) is the identity here.
         # A shedder keeps (1 - f) * min(assigned, assigned) of it, and
@@ -1069,114 +1148,23 @@ def run_star_batch(
         if shed is not None:
             # A child that computed nothing is paid nothing.
             correct_q = np.where(computed[:, 1:] <= 0.0, 0.0, correct_q)
-        if bill_overcharge is None:
-            billed = correct_q
-        else:
-            over = _as_matrix("bill_overcharge", bill_overcharge, (n_runs, n))
-            billed = np.where(over != 0.0, correct_q + over, correct_q)
+        t_served_actual = clock + alpha_served * stack.rates_full[runs, orders]
+        t_root_actual = alpha[:, 0] * stack.rates_full[:, 0]
+        makespan = np.maximum(t_root_actual, t_served_actual.max(axis=1)) * load
         # The root recomputes from its own records with the very same
         # expression and inputs, so the recomputed payment IS correct_q.
-        recomputed_q = correct_q
-
-        challenged = _challenges(audit_draws, q, (n_runs, n))
-        audit_fines = np.where(
-            challenged & (billed > recomputed_q + BILL_TOL),
-            fine_arr[:, None] / q,
-            0.0,
-        )
-
-        t_served_actual = clock + alpha_served * rates_full[runs, orders]
-        t_root_actual = alpha[:, 0] * rates_full[:, 0]
-        makespan = np.maximum(t_root_actual, t_served_actual.max(axis=1)) * load
-
-        root_pay = assigned[:, 0] * w[:, 0]
-        ledger = _ledger_mirrors(root_pay, billed, audit_fines, phase3)
-        valuations = -computed[:, 1:] * actual
-        utilities = valuations + ledger["balances"]
-
-        outcome = BatchStarOutcome(
-            bids=full_bids,
-            orders=orders,
-            alpha=alpha,
+        return _settle(
+            BatchStarOutcome,
+            stack,
             assigned=assigned,
             computed=computed,
-            actual_rates=rates_full,
             makespan=makespan,
-            fine=fine_arr,
             correct_q=correct_q,
-            billed_q=billed,
-            recomputed_q=recomputed_q,
-            challenged=challenged,
-            audit_fines=audit_fines,
-            valuations=valuations,
-            utilities=utilities,
-            grievances=np.zeros(n_runs, dtype=np.int64),
-            substantiated=np.zeros(n_runs, dtype=bool),
-            aborted=np.zeros(n_runs, dtype=bool),
-            **ledger,
+            recomputed_q=correct_q,
+            bill_overcharge=bill_overcharge,
+            audit_draws=audit_draws,
+            phase3=phase3,
+            emit_metrics=emit_metrics,
+            orders=orders,
+            alpha=alpha,
         )
-        if emit_metrics:
-            _emit_counters(get_registry(), outcome, "mechanism.star_runs")
-    return outcome
-
-
-def chain_row_snapshots(outcome: BatchChainOutcome) -> list[dict[str, Any]]:
-    """Per-row protocol-counter snapshots for a stacked chain outcome.
-
-    The row engine (:mod:`repro.mechanism.rows`) merges counters in
-    row order, so the float accumulation order matches a scalar loop
-    exactly.  That
-    requires the stacked pass's counters at per-row granularity: each
-    snapshot holds what one scalar run would have contributed, with the
-    same left-fold entry order (the grievance fine and reward, root
-    reimbursement, then per agent its bill and audit fine).  A run that
-    aborted in Phase II holds only its grievance entries, no audits,
-    and the ``mechanism.aborts`` / ``mechanism.aborts.phase_2`` counts."""
-    return _row_snapshots(outcome, "mechanism.runs")
-
-
-def star_row_snapshots(outcome: BatchStarOutcome) -> list[dict[str, Any]]:
-    """Per-row protocol-counter snapshots for a stacked star outcome.
-
-    Same contract as :func:`chain_row_snapshots` with the star run
-    counter (``mechanism.star_runs``); the scalar star's ledger entry
-    order for batchable rows is the same (meter-detected abandonment
-    fines, root reimbursement, then per child its bill and audit
-    fine)."""
-    return _row_snapshots(outcome, "mechanism.star_runs")
-
-
-def _row_snapshots(
-    outcome: BatchChainOutcome | BatchStarOutcome, runs_counter: str
-) -> list[dict[str, Any]]:
-    m = outcome.bids.shape[1] - 1
-    grievances = outcome.grievances.tolist()
-    substantiated = outcome.substantiated.tolist()
-    n_challenged = outcome.challenged.sum(axis=1).tolist()
-    # The per-row counts and volumes are the engine's one ledger fold.
-    n_fines = outcome.fine_entries.tolist()
-    transfers = outcome.transfers.tolist()
-    fine_volume = outcome.fine_volume.tolist()
-    volume = outcome.volume.tolist()
-    aborted = outcome.aborted.tolist()
-    snapshots: list[dict[str, Any]] = []
-    for k in range(len(volume)):
-        counters: dict[str, float] = {runs_counter: 1.0}
-        if not aborted[k]:
-            counters["mechanism.audits"] = float(m)
-        if grievances[k]:
-            counters["mechanism.grievances"] = float(grievances[k])
-            if substantiated[k]:
-                counters["mechanism.grievances_substantiated"] = 1.0
-        if n_challenged[k]:
-            counters["mechanism.audits_challenged"] = float(n_challenged[k])
-        if n_fines[k]:
-            counters["mechanism.fines"] = float(n_fines[k])
-            counters["mechanism.fine_volume"] = fine_volume[k]
-        counters["ledger.transfers"] = float(transfers[k])
-        counters["ledger.volume"] = volume[k]
-        if aborted[k]:
-            counters["mechanism.aborts"] = 1.0
-            counters["mechanism.aborts.phase_2"] = 1.0
-        snapshots.append({"counters": counters})
-    return snapshots

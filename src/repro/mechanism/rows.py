@@ -25,8 +25,11 @@ is the one place that knows how:
 
 :func:`run_rows` returns, per row, the outcome fields and an *unmerged*
 counter snapshot: what that row's solo run contributes to the
-``mechanism.*`` / ``ledger.*`` counters.  Callers fold the snapshots in
-row order, which reproduces a solo loop's float accumulation exactly.
+``mechanism.*`` / ``ledger.*`` counters.  A stacked row's snapshot,
+contradictions included, comes from the batch engine's one per-row
+builder (:func:`~repro.mechanism.batch_run.row_snapshots`).  Callers
+fold the snapshots in row order, which reproduces a solo loop's float
+accumulation exactly.
 Engine overhead that no solo run has (the stacked call's perf spans and
 ``dlt.batch.*`` counters, the tree fallback count) lands in the active
 registry instead.
@@ -365,7 +368,7 @@ def _array_rows(
         emit_metrics=False,
         **columns,
     )
-    row_snaps = (batch_run.star_row_snapshots if star else batch_run.chain_row_snapshots)(outcome)
+    row_snaps = batch_run.row_snapshots(outcome)
     makespan = outcome.makespan.tolist()
     fines = outcome.fines_total.tolist()
     outlay = outcome.mechanism_outlay.tolist()

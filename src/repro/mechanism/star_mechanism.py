@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.agents.base import ProcessorAgent
 from repro.crypto.signing import sign
-from repro.dlt.star import solve_star, star_finishing_times
+from repro.dlt.star import StarSchedule, solve_star, star_finishing_times
 from repro.exceptions import InvalidNetworkError
 from repro.mechanism.audit import Auditor
 from repro.mechanism.protocol import ProtocolOutcome, RunBooks, ScalarMechanism
@@ -59,34 +59,41 @@ def star_bonus(
     child: int,
     *,
     actual_rate: float,
-    order: Sequence[int],
+    schedule: StarSchedule,
 ) -> float:
     """The marginal-contribution bonus of ``child`` (1-based index).
 
-    ``network`` carries the *bids*; ``actual_rate`` is the child's
-    metered rate.  Both terms are per unit load.
+    ``network`` carries the *bids* and ``schedule`` is its solved star;
+    ``actual_rate`` is the child's metered rate.  Both terms are per
+    unit load.
     """
-    # T without the child: the star over the remaining children (or the
-    # root alone when it was the only child).
-    if network.n_children == 1:
-        t_without = float(network.w[0])
-    else:
-        keep = [i for i in range(1, network.size) if i != child]
-        reduced = StarNetwork(
-            np.concatenate(([network.w[0]], network.w[keep])),
-            network.z[np.array(keep) - 1],
-        )
-        t_without = solve_star(reduced).makespan
+    return _makespan_without(network, child) - _evaluated_makespan(
+        network, child, actual_rate, schedule
+    )
 
-    # T evaluated: bid-derived allocation, child's slot re-timed at its
-    # actual rate.
-    sched = solve_star(network, order=tuple(order))
+
+def _makespan_without(network: StarNetwork, child: int) -> float:
+    """``T(w_{-i})``: the optimal makespan of the star over the other
+    children (the root alone when ``child`` was the only one)."""
+    if network.n_children == 1:
+        return float(network.w[0])
+    keep = [i for i in range(1, network.size) if i != child]
+    reduced = StarNetwork(
+        np.concatenate(([network.w[0]], network.w[keep])),
+        network.z[np.array(keep) - 1],
+    )
+    return solve_star(reduced).makespan
+
+
+def _evaluated_makespan(
+    network: StarNetwork, child: int, actual_rate: float, schedule: StarSchedule
+) -> float:
+    """The bid-derived allocation with ``child``'s slot re-timed at its
+    actual rate."""
     w_eval = network.w.copy()
     w_eval[child] = actual_rate
-    eval_net = StarNetwork(w_eval, network.z)
-    times = star_finishing_times(eval_net, sched.alpha, sched.order)
-    t_eval = float(times.max())
-    return t_without - t_eval
+    times = star_finishing_times(StarNetwork(w_eval, network.z), schedule.alpha, schedule.order)
+    return float(times.max())
 
 
 @dataclass(kw_only=True)
@@ -215,19 +222,22 @@ class StarMechanism(ScalarMechanism):
         correct_q = np.zeros(n + 1)
         billed_q = np.zeros(n + 1)
         for i in range(1, n + 1):
+            # The bonus (star_bonus): T(w_{-i}), solved once for both the
+            # bill and its audit, minus the re-timed allocation.
+            t_without = None
             if computed[i] <= 0.0:
                 correct = 0.0
             else:
-                bonus = star_bonus(
-                    star, i, actual_rate=float(actual_rates[i]), order=schedule.order
-                )
-                correct = float(assigned[i]) * float(actual_rates[i]) + bonus
+                t_without = _makespan_without(star, i)
+                rate = float(actual_rates[i])
+                bonus = t_without - _evaluated_makespan(star, i, rate, schedule)
+                correct = float(assigned[i]) * rate + bonus
             correct_q[i] = correct
             bill = self.agents[i].phase4_bill(correct)
             billed_q[i] = bill
             self._bill(books, i, bill)
 
-            def recompute(_proof, i=i):
+            def recompute(_proof, i=i, t_without=t_without):
                 # The root recomputes from its own records: the signed
                 # bids and its meter.  (The star has no relayed evidence,
                 # so the proof object is the root's own state.)
@@ -236,9 +246,7 @@ class StarMechanism(ScalarMechanism):
                     return None, "no meter record"
                 if reading.computed_amount <= 0.0:
                     return 0.0, "computed nothing"
-                bonus = star_bonus(
-                    star, i, actual_rate=reading.actual_rate, order=schedule.order
-                )
+                bonus = t_without - _evaluated_makespan(star, i, reading.actual_rate, schedule)
                 return (
                     float(assigned[i]) * reading.actual_rate + bonus,
                     "recomputed from root records",

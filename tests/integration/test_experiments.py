@@ -148,6 +148,26 @@ class TestExtensions:
         result = run_p2_overhead(sizes=(2, 5, 10))
         assert result.passed
 
+    def test_p2_counts_are_its_table_and_keep_earlier_counts(self):
+        # Each size is measured as a collecting() delta: the task's delta
+        # is the sum of the table's columns, and counts already in the
+        # enclosing scope survive the experiment.
+        from repro.experiments.runner import run_experiments
+        from repro.obs.metrics import collecting
+
+        with collecting(merge=False) as registry:
+            registry.inc("crypto.signatures_created", 5.0)
+            registry.inc("crypto.verifications_performed", 7.0)
+            (run,) = run_experiments(["P2"])
+        rows = run.result.tables[0].rows
+        signatures, verifications = sum(r[1] for r in rows), sum(r[3] for r in rows)
+        assert (signatures, verifications) == (532, 1126)
+        counters = run.metrics["counters"]
+        assert counters["crypto.signatures_created"] == signatures
+        assert counters["crypto.verifications_performed"] == verifications
+        assert registry.counter("crypto.signatures_created") == 5 + signatures
+        assert registry.counter("crypto.verifications_performed") == 7 + verifications
+
     def test_a3_reduced(self):
         from repro.experiments import run_a3_assumptions
 

@@ -59,9 +59,9 @@ class TestHonestRun:
     def test_utility_is_marginal_contribution(self, baseline):
         # U_i = T(without i) - T(with i) for truthful full-speed agents.
         star = StarNetwork([ROOT] + TRUE, Z)
-        full = solve_star(star).makespan
+        schedule = solve_star(star)
         for i in range(1, 5):
-            expected = star_bonus(star, i, actual_rate=TRUE[i - 1], order=baseline.order)
+            expected = star_bonus(star, i, actual_rate=TRUE[i - 1], schedule=schedule)
             assert baseline.utility(i) == pytest.approx(expected)
             assert expected > 0  # every child strictly helps here
 
@@ -131,7 +131,7 @@ class TestStarBonus:
 
         star = StarNetwork([2.0, 3.0], [0.5])
         for actual in (2.0, 3.0, 4.5):
-            b_star = star_bonus(star, 1, actual_rate=actual, order=(1,))
+            b_star = star_bonus(star, 1, actual_rate=actual, schedule=solve_star(star, order=(1,)))
             b_chain = chain_bonus(
                 predecessor_bid=2.0, z_link=0.5, w_bar=3.0, w_hat=actual
             )
@@ -139,7 +139,7 @@ class TestStarBonus:
 
     def test_useless_child_has_near_zero_bonus(self):
         star = StarNetwork([2.0, 3.0, 1e6], [0.5, 1e6])
-        b = star_bonus(star, 2, actual_rate=1e6, order=(1, 2))
+        b = star_bonus(star, 2, actual_rate=1e6, schedule=solve_star(star, order=(1, 2)))
         assert 0 <= b < 1e-3
 
 

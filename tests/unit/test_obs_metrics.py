@@ -149,39 +149,3 @@ class TestCollecting:
             get_registry().inc("n")
             snap = scoped.snapshot()
         assert pickle.loads(pickle.dumps(snap)) == snap
-
-
-class TestCryptoShim:
-    def test_counters_proxy_the_active_registry(self):
-        from repro.crypto.metrics import COUNTERS
-
-        COUNTERS.reset()
-        get_registry().inc("crypto.signatures_created", 3)
-        get_registry().inc("crypto.verifications_performed", 2)
-        assert COUNTERS.signatures_created == 3
-        assert COUNTERS.verifications_performed == 2
-        assert COUNTERS.snapshot() == (3, 2)
-        COUNTERS.reset()
-        assert COUNTERS.snapshot() == (0, 0)
-
-    def test_signing_and_verification_hit_the_registry(self):
-        from repro.crypto.keys import KeyRegistry
-        from repro.crypto.metrics import COUNTERS
-        from repro.crypto.signing import sign
-
-        registry, keys = KeyRegistry.for_processors(2, seed=b"obs-test")
-        COUNTERS.reset()
-        message = sign(keys[0], {"x": 1.0})
-        assert message.verify(registry)
-        assert COUNTERS.signatures_created == 1
-        assert COUNTERS.verifications_performed == 1
-
-    def test_shim_respects_collecting_scope(self):
-        from repro.crypto.metrics import COUNTERS
-
-        COUNTERS.reset()
-        with collecting():
-            get_registry().inc("crypto.signatures_created")
-            assert COUNTERS.signatures_created == 1
-        # After the scope folds back, the root registry has the count too.
-        assert COUNTERS.signatures_created == 1
