@@ -11,7 +11,6 @@ from repro.agents.strategies import TruthfulAgent
 from repro.dlt.batch import solve_linear_batch, stack_networks
 from repro.dlt.linear import solve_linear_boundary, solve_linear_boundary_reference
 from repro.experiments import run_p1_performance
-from repro.experiments.runner import write_benchmark
 from repro.mechanism.dls_lbl import DLSLBLMechanism
 from repro.network.generators import random_linear_network
 from repro.sim.linear_sim import simulate_linear_chain
@@ -67,20 +66,6 @@ def test_batch_solver_throughput(benchmark, n):
     w, z = stack_networks([random_linear_network(10, rng) for _ in range(n)])
     batch = benchmark(solve_linear_batch, w, z)
     assert np.allclose(batch.alpha.sum(axis=1), 1.0)
-
-
-def test_batch_speedup_record(tmp_path):
-    """Run the ``python -m repro perf record`` suite into a temporary file
-    and check the scalar-vs-batch solve speedup; the committed
-    ``BENCH_batch.json`` and ``BENCH_history.jsonl`` are left alone."""
-    record = write_benchmark(tmp_path / "BENCH_batch.json", history_path=None)
-    solve = record["batch_solve"]
-    print(
-        f"\nbatch solve speedup: {solve['speedup']:.1f}x "
-        f"({solve['n_networks']} x {solve['m'] + 1}-processor chains) "
-        f"on {record['machine']['cpu_count']} cpu(s)"
-    )
-    assert solve["speedup"] >= 5.0
 
 
 def test_p3_report(benchmark, record_experiment):

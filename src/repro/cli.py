@@ -26,13 +26,14 @@ Commands
     out.jsonl [--metrics metrics.json]``.
 ``perf``
     Wall-clock performance workflow (see :mod:`repro.obs.perf` /
-    :mod:`repro.obs.bench`): ``perf record`` runs the benchmark suite,
-    writes ``BENCH_batch.json`` and appends a machine-fingerprinted row
-    to ``BENCH_history.jsonl``,
-    ``perf report`` renders the profiling span tree and p50/p95/p99
-    latency tables from the recorded snapshot, and ``perf diff``
-    exits nonzero when a gated bench row regressed vs. the best
-    same-machine baseline.
+    :mod:`repro.obs.bench`): ``perf record FILE...`` reads the output of
+    ``perfbench/run.py`` runs, writes them to ``BENCH_batch.json`` and
+    appends one machine-fingerprinted row per run to
+    ``BENCH_history.jsonl``; ``perf report --metrics PATH`` renders the
+    profiling span tree and p50/p95/p99 latency tables of a metrics
+    report; and ``perf diff`` exits nonzero when the newest row of a
+    workload is worse than the median same-machine baseline by more
+    than ``BENCHMARK.json``'s bound.
 ``serve``
     Mechanism-as-a-service (see :mod:`repro.serve`): ``serve start``
     runs the TCP JSON-lines front-end whose dispatcher micro-batches
@@ -313,33 +314,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="wall-clock performance: record benchmarks, render span trees, gate regressions",
+        help="wall-clock performance: record perfbench runs, render span trees, gate regressions",
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     perf_record = perf_sub.add_parser(
-        "record", help="run the benchmark suite and append a trajectory row"
+        "record", help="record perfbench runs and append one trajectory row per run"
+    )
+    perf_record.add_argument(
+        "paths", nargs="+", metavar="FILE",
+        help="standard output of a perfbench/run.py run ('-' reads standard input)",
     )
     perf_record.add_argument("--bench-path", default="BENCH_batch.json", help="full-record output path")
     perf_record.add_argument("--history", default="BENCH_history.jsonl", help="append-only trajectory path")
     perf_report = perf_sub.add_parser(
-        "report", help="span tree and latency percentiles from a bench record or metrics report"
+        "report", help="span tree and latency percentiles from a metrics report"
     )
-    perf_report.add_argument("--bench-path", default="BENCH_batch.json", help="bench record with an embedded perf snapshot")
     perf_report.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="read histograms from a metrics report (repro run --metrics) instead of the bench record",
+        "--metrics", required=True, metavar="PATH",
+        help="metrics report written by 'repro run --metrics'",
     )
     perf_diff = perf_sub.add_parser(
-        "diff", help="gate the newest trajectory row against the best same-machine baseline"
+        "diff", help="gate each workload's newest row against the median same-machine baseline"
     )
-    perf_diff.add_argument("--history", default="BENCH_history.jsonl", help="trajectory file (newest row is gated)")
+    perf_diff.add_argument("--history", default="BENCH_history.jsonl", help="trajectory file (newest row per workload is gated)")
     perf_diff.add_argument(
         "--baseline", default=None, metavar="PATH",
         help="take baseline rows from this history file instead of earlier rows of --history",
     )
     perf_diff.add_argument(
-        "--threshold", type=_threshold, default=0.5,
-        help="allowed slowdown fraction before failing (0.5 = 50%%, generous for wall-clock noise)",
+        "--threshold", type=_threshold, default=None,
+        help="allowed worsening fraction for every metric (default: each metric's BENCHMARK.json bound)",
     )
 
     trace = sub.add_parser("trace", help="work with recorded JSONL traces")
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         default=None,
         metavar="PATH",
-        help="metrics report written by 'repro run --metrics'; adds wall-clock and cache sections",
+        help="metrics report written by 'repro run --metrics'; adds wall-clock and counter sections",
     )
 
     return parser
@@ -504,46 +508,6 @@ def _cmd_experiment(args) -> int:
         print(f"FAILED: {failed}")
         return 1
     return 0
-
-
-def _print_bench_summary(record, bench_path, history_path) -> None:
-    solve = record["batch_solve"]
-    print(
-        f"batch solve: {solve['n_networks']} x {solve['m'] + 1}-processor chains, "
-        f"{solve['scalar_loop_s']:.4f}s scalar vs {solve['batch_s']:.4f}s batched "
-        f"({solve['speedup']:.1f}x)"
-    )
-    mech = record["mech_batch"]
-    print(
-        f"mechanism runs: {mech['count']} x m={mech['m']} chains, "
-        f"{mech['scalar_s']:.3f}s scalar vs {mech['batch_s']:.3f}s batched "
-        f"({mech['speedup']:.1f}x, bitwise equal: {mech['bitwise_equal']})"
-    )
-    mix = mech["deviant_mix"]
-    print(
-        f"deviant mix ({mix['deviant_fraction']:.0%} deviant lanes): "
-        f"{mix['scalar_s']:.3f}s scalar vs {mix['batch_s']:.3f}s batched "
-        f"({mix['speedup']:.1f}x, bitwise equal: {mix['bitwise_equal']})"
-    )
-    rt = record.get("runtime")
-    if rt:
-        print(
-            f"resilient runtime: m={rt['m']} with {rt['faults']} faults in "
-            f"{rt['wall_s']:.3f}s ({rt['crashes']} crash(es), {rt['retries']} retries)"
-        )
-    byz = record.get("byzantine_mix")
-    if byz:
-        print(
-            f"byzantine mix: m={byz['m']} with {byz['faults']} faults in "
-            f"{byz['wall_s']:.3f}s ({byz['overhead_vs_runtime']:.2f}x infra-only run; "
-            f"liars fined: {byz['liars_fined']}, ledger balanced: {byz['ledger_balanced']})"
-        )
-    print(
-        f"machine fingerprint {record['machine']['fingerprint']}; "
-        f"record written to {bench_path}"
-    )
-    if history_path:
-        print(f"trajectory row appended to {history_path}")
 
 
 def _cmd_experiments(args) -> int:
@@ -856,48 +820,44 @@ def _cmd_serve(args) -> int:
 def _cmd_perf(args) -> int:
     import json
 
-    if args.perf_command == "record":
-        from repro.experiments.runner import write_benchmark
+    from repro.obs import bench
 
-        history = args.history or None
-        record = write_benchmark(args.bench_path, history_path=history)
-        _print_bench_summary(record, args.bench_path, history)
+    if args.perf_command == "record":
+        runs = []
+        for path in args.paths:
+            try:
+                if path == "-":
+                    runs.append(bench.parse_run(sys.stdin.read()))
+                else:
+                    with open(path, encoding="utf-8") as fh:
+                        runs.append(bench.parse_run(fh.read()))
+            except (OSError, ValueError) as exc:
+                print(f"{path}: {exc}; nothing recorded", file=sys.stderr)
+                return 2
+        try:
+            bench.write_record(args.bench_path, runs)
+        except ValueError as exc:
+            print(f"{exc}; nothing recorded", file=sys.stderr)
+            return 2
+        for detail, result in runs:
+            if args.history:
+                bench.append_history(args.history, bench.history_row(detail, result))
+            print(
+                f"{detail['workload']} seed {detail['seed']} trace {detail['trace']}: "
+                f"correct={result['correct']} attempted={result['attempted']} "
+                f"failed={result['failed']}, {len(result['metrics'])} metrics"
+            )
+        fingerprint = runs[0][0]["machine"]["fingerprint"]
+        print(f"machine fingerprint {fingerprint}; record written to {args.bench_path}")
+        if args.history:
+            print(f"{len(runs)} trajectory row(s) appended to {args.history}")
         return 0
 
     if args.perf_command == "report":
         from repro.obs.perf import format_latency_table, format_span_tree
 
-        if args.metrics:
-            with open(args.metrics, encoding="utf-8") as fh:
-                histograms = json.load(fh).get("histograms", {})
-            source = args.metrics
-        else:
-            try:
-                with open(args.bench_path, encoding="utf-8") as fh:
-                    record = json.load(fh)
-            except FileNotFoundError:
-                print(
-                    f"{args.bench_path} not found; run `python -m repro perf record` first",
-                    file=sys.stderr,
-                )
-                return 2
-            perf = record.get("perf")
-            if not perf:
-                print(
-                    f"{args.bench_path} has no embedded perf snapshot (pre-profiling "
-                    "record); re-run `python -m repro perf record`",
-                    file=sys.stderr,
-                )
-                return 2
-            histograms = perf.get("histograms", {})
-            source = args.bench_path
-            machine = record.get("machine", {})
-            print(
-                f"perf report from {source} "
-                f"(fingerprint {machine.get('fingerprint', '?')}, "
-                f"{machine.get('cpu_count', '?')} cpus)"
-            )
-        print()
+        with open(args.metrics, encoding="utf-8") as fh:
+            histograms = json.load(fh).get("histograms", {})
         print("== span tree (cumulative / self wall-clock seconds) ==")
         print(format_span_tree(histograms))
         print()
@@ -906,9 +866,7 @@ def _cmd_perf(args) -> int:
         return 0
 
     # perf diff
-    from repro.obs.bench import diff_history, format_diff, read_history
-
-    rows = read_history(args.history)
+    rows = bench.read_history(args.history)
     if not rows:
         # A fresh clone has no trajectory yet: the row the CI bench step
         # just appended (or will append) IS the baseline.  Skipping
@@ -918,15 +876,17 @@ def _cmd_perf(args) -> int:
             "gate skipped (the next bench run on this machine records it)"
         )
         return 0
-    baseline_rows = read_history(args.baseline) if args.baseline else None
-    result = diff_history(rows, threshold=args.threshold, baseline_rows=baseline_rows)
-    print(format_diff(result))
+    baseline_rows = bench.read_history(args.baseline) if args.baseline else None
+    result = bench.diff_history(
+        rows, bench.load_gates(), threshold=args.threshold, baseline_rows=baseline_rows
+    )
+    print(bench.format_diff(result))
     if result["status"] == "regression":
         return 1
     if result["status"] == "no-data":
         print(
-            "no same-fingerprint/workload baseline for the newest row; "
-            "gate skipped — this row seeds the baseline for future runs"
+            "no same-fingerprint/workload baseline for any newest row; "
+            "gate skipped — these rows seed the baseline for future runs"
         )
     return 0
 

@@ -49,7 +49,6 @@ __all__ = [
     "solve_linear_cached",
     "linear_cache_info",
     "linear_cache_clear",
-    "record_cache_metrics",
 ]
 
 
@@ -329,21 +328,3 @@ def linear_cache_info():
 def linear_cache_clear() -> None:
     """Drop all cached :func:`solve_linear_cached` entries."""
     _solve_linear_from_key.cache_clear()
-
-
-def record_cache_metrics() -> None:
-    """Publish :func:`solve_linear_cached` statistics as registry gauges.
-
-    ``functools.lru_cache`` keeps its own counters; this copies them into
-    the active registry (``cache.solve_linear.hits`` / ``.misses`` /
-    ``.size`` / ``.maxsize``) so they land in metrics snapshots and the
-    ``trace summarize`` report.  Gauges use replace-on-merge semantics, so
-    call this at the end of the work whose cache behaviour you want
-    recorded (each worker process has its own cache and its own numbers).
-    """
-    info = linear_cache_info()
-    registry = get_registry()
-    registry.set_gauge("cache.solve_linear.hits", info.hits)
-    registry.set_gauge("cache.solve_linear.misses", info.misses)
-    registry.set_gauge("cache.solve_linear.size", info.currsize)
-    registry.set_gauge("cache.solve_linear.maxsize", info.maxsize)

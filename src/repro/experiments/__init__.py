@@ -10,12 +10,10 @@ pytest-benchmark target that prints the same rows.
 from repro.experiments.harness import ExperimentResult, Table
 from repro.experiments.runner import (
     ExperimentRun,
-    benchmark_batch,
     format_runs,
     run_experiments,
     run_replications,
     task_seed,
-    write_benchmark,
 )
 from repro.experiments.workloads import WORKLOADS, Workload
 from repro.experiments.exp_fig1_topology import run_fig1_topology
@@ -84,12 +82,10 @@ __all__ = [
     "Table",
     "WORKLOADS",
     "Workload",
-    "benchmark_batch",
     "format_runs",
     "run_experiments",
     "run_replications",
     "task_seed",
-    "write_benchmark",
     "gantt_chart_for",
     "run_fig1_topology",
     "run_fig2_gantt",

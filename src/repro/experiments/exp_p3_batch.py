@@ -9,7 +9,8 @@ against the scalar :func:`~repro.mechanism.payments.payment_breakdown`
 on the same instances.
 
 Equivalence is the pass criterion; the speedup columns are informational
-(machine-dependent — ``BENCH_batch.json`` tracks them over time).
+and machine-dependent.  The tracked speed record is ``perfbench/``'s, in
+``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations

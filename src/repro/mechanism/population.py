@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.mechanism.rows import map_ordered, run_rows, solo_row
+from repro.mechanism.rows import _solo_delta, map_ordered, run_rows
 from repro.obs.metrics import collecting, fold_snapshots, get_registry
 from repro.obs.tracer import TraceEvent, merge_traces
 from repro.seeding import task_seed
@@ -97,23 +97,6 @@ class PopulationResult:
     metrics: dict[str, Any] = field(default_factory=dict)
 
 
-def _run_one(
-    index: int,
-    m: int,
-    seed: int,
-    audit_probability: float,
-    deviant: str | None,
-    trace: bool,
-) -> tuple[dict[str, Any], list[TraceEvent], dict[str, Any]]:
-    """One scalar population member: the solo recipe under the run's
-    identity seed, with its metrics delta captured unmerged.
-    Module-level so it pickles into pool workers."""
-    run_seed = task_seed(f"mech/{index}", seed)
-    with collecting(merge=False) as registry:
-        fields, events = solo_row("chain", m, run_seed, audit_probability, deviant, trace=trace)
-    return {"index": index, "seed": run_seed, "m": m, **fields}, events, registry.snapshot()
-
-
 def run_population(
     m: int,
     count: int,
@@ -154,25 +137,23 @@ def run_population(
             raise ValueError(f"deviants must have length {count}, got {len(specs)}")
     else:
         specs = [deviant] * count
+    seeds = [task_seed(f"mech/{i}", seed) for i in range(count)]
     if use_batch:
-        seeds = [task_seed(f"mech/{i}", seed) for i in range(count)]
         # The stacked call's engine overhead (perf spans, dlt.batch.*
         # counters) is captured apart from the per-row deltas, as a pool
         # worker captures a served group's.
         with collecting(merge=False) as scope:
             rows = run_rows("chain", m, audit_probability, seeds, specs, trace=trace, jobs=jobs)
             overhead = scope.snapshot()
-        summaries = [
-            {"index": i, "seed": seeds[i], "m": m, **rows.fields[i]} for i in range(count)
-        ]
-        all_events = rows.events
-        snapshots = [overhead, *rows.snapshots]
+        fields, all_events, snapshots = rows.fields, rows.events, [overhead, *rows.snapshots]
     else:
-        tasks = [(i, m, seed, audit_probability, specs[i], trace) for i in range(count)]
-        outcomes = map_ordered(_run_one, tasks, jobs)
-        summaries = [summary for summary, _events, _snapshot in outcomes]
-        all_events = [events for _summary, events, _snapshot in outcomes]
-        snapshots = [snapshot for _summary, _events, snapshot in outcomes]
+        # The solo recipe per run, as run_rows runs its solo rows.
+        tasks = [("chain", m, seeds[i], audit_probability, specs[i], trace) for i in range(count)]
+        outcomes = map_ordered(_solo_delta, tasks, jobs)
+        fields = [row_fields for row_fields, _events, _snapshot in outcomes]
+        all_events = [events for _fields, events, _snapshot in outcomes]
+        snapshots = [snapshot for _fields, _events, snapshot in outcomes]
+    summaries = [{"index": i, "seed": seeds[i], "m": m, **fields[i]} for i in range(count)]
     # Every run's delta folds into the live registry in run order — the
     # float accumulation of a scalar loop, however the runs executed.
     metrics = fold_snapshots(snapshots, get_registry())

@@ -9,17 +9,16 @@ and the experiment runner:
   histograms with per-worker snapshot-and-merge and exact p50/p95/p99;
 - :mod:`repro.obs.perf` — hierarchical wall-clock profiling spans, the
   only in-program timer (``perf.<path>`` histograms, never the trace);
-- :mod:`repro.obs.bench` — machine-fingerprinted ``BENCH_history.jsonl``
-  trajectory rows and the ``perf diff`` regression gate;
-- :mod:`repro.obs.report` / :mod:`repro.obs.summary` —
-  ``BENCH_*.json``-compatible metrics reports and the
-  ``trace summarize`` rollups.
+- :mod:`repro.obs.bench` — perfbench runs recorded as
+  machine-fingerprinted ``BENCH_history.jsonl`` rows, and the
+  ``perf diff`` regression gate;
+- :mod:`repro.obs.report` / :mod:`repro.obs.summary` — metrics
+  reports with a machine stanza and the ``trace summarize`` rollups.
 
 See ``docs/observability.md`` for the event schema and metric names.
 """
 
 from repro.obs.bench import (
-    annotate_sections,
     append_history,
     diff_history,
     history_row,
@@ -60,7 +59,6 @@ __all__ = [
     "PerfProfiler",
     "TraceEvent",
     "Tracer",
-    "annotate_sections",
     "append_history",
     "collecting",
     "diff_history",

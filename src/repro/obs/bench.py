@@ -1,29 +1,29 @@
-"""Benchmark trajectory: fingerprints, BENCH_history.jsonl, perf diff.
+"""Benchmark record: perfbench runs in, ``BENCH_history.jsonl`` out, ``perf diff``.
 
-``BENCH_batch.json`` is a single overwritten snapshot, written by
-``python -m repro perf record``; this module turns those runs into a
-*trajectory*.  Every run appends one row to an append-only JSONL history
-file, stamped with a machine fingerprint so numbers from different boxes
-are never compared, and ``python -m repro perf diff`` gates the newest
-row against the best same-machine baseline.
+``perfbench/run.py`` is the repository's one benchmark.  Each run prints
+two JSON lines last: a detail line (``{"detail": {workload, seed, trace,
+machine, ...}}``) and a result line (``{correct, attempted, failed,
+metrics}``).  ``python -m repro perf record FILE...`` reads those pairs:
 
-Three concerns live here:
+- :func:`parse_run` checks that a run's output ends in the two lines;
+- :func:`history_row` distils one run into an append-only trajectory
+  row (schema 2: fingerprint, workload, seed, trace flag, correctness
+  and every metric's value), which :func:`append_history` persists;
+- :func:`write_record` overwrites ``BENCH_batch.json`` with the machine
+  stanza and the runs just read.
 
-- :func:`machine_fingerprint` — the ``machine`` stanza plus a short
-  stable hash of it; every bench section and history row carries it.
-- Section validity — :func:`annotate_sections` marks bench sections
-  whose bitwise self-check failed.  Invalid rows stay in the record for
-  honesty but are excluded from regression gating.
-- The gate — :func:`history_row` extracts the gated seconds
-  (``batch_solve``, ``mech_batch``, ``deviant_mix``, ``solve_cache``)
-  from a bench record, :func:`append_history` persists the row, and
-  :func:`diff_history` compares the latest row against the minimum of
-  prior valid rows with the same fingerprint, flagging any gated metric
-  that slowed by more than ``threshold`` (a fraction, e.g. 0.5 = 50%).
+``python -m repro perf diff`` runs :func:`diff_history`: per workload,
+the newest row against the *median* of earlier rows with the same
+machine fingerprint, workload and trace flag, each end-to-end metric of
+``BENCHMARK.json`` gated in its ``better`` direction by its ``bound``.
+The median, not the best past run: on a VM whose speed swings 1.8x, a
+best-of-history baseline flags almost every run.  Only correct runs
+with no failed operation count, on either side — a wrong result's speed
+is not a number worth keeping.  ``--trace 1`` rows carry per-layer
+metrics only, so nothing in them is gated.
 
-Timings are wall-clock and noisy; the default CI threshold is generous
-on purpose.  Rows whose bitwise-equality self-check failed are recorded
-but never gated — a wrong result's speed is not a number worth keeping.
+:func:`machine_fingerprint` stamps every run (perfbench calls it), so
+numbers from different machines are never compared.
 """
 
 from __future__ import annotations
@@ -33,26 +33,25 @@ import json
 import math
 import os
 import time
-from typing import Any, Iterable, Mapping
+from pathlib import Path
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.report import machine_info
 
 __all__ = [
     "machine_fingerprint",
-    "annotate_sections",
+    "parse_run",
     "history_row",
+    "write_record",
     "append_history",
     "read_history",
+    "load_gates",
     "diff_history",
     "format_diff",
-    "GATED_METRICS",
 ]
 
-#: Bench sections whose timings participate in regression gating, and
-#: where inside the record each gated number lives (seconds, lower is
-#: better).  ``mech_batch``/``deviant_mix`` are only gated when their
-#: bitwise self-check passed.
-GATED_METRICS = ("batch_solve", "mech_batch", "deviant_mix", "solve_cache")
+#: ``BENCHMARK.json`` at the root of the checkout this package runs from.
+BENCHMARK_PATH = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 
 
 def machine_fingerprint(info: Mapping[str, Any] | None = None) -> dict[str, Any]:
@@ -73,97 +72,71 @@ def machine_fingerprint(info: Mapping[str, Any] | None = None) -> dict[str, Any]
     return stanza
 
 
-def annotate_sections(record: dict[str, Any]) -> dict[str, Any]:
-    """Stamp every bench section with the fingerprint and a validity flag.
+def parse_run(text: str) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The ``(detail, result)`` pair that ends one perfbench run's output.
 
-    Mutates and returns ``record``.  A section is invalid when its
-    ``bitwise_equal`` self-check failed — its timing is that of a wrong
-    result — and then carries an ``invalid_reason``.
+    Raises :class:`ValueError` unless the last two non-blank lines are a
+    detail line and a result line.
     """
-    machine = machine_fingerprint(record.get("machine"))
-    record["machine"] = machine
-    for name, section in record.items():
-        # "perf" is an embedded metrics snapshot, not a bench section.
-        if not isinstance(section, dict) or name in ("machine", "perf"):
-            continue
-        section["machine_fingerprint"] = machine["fingerprint"]
-        section["valid"] = section.get("bitwise_equal") is not False
-        if section["valid"]:
-            section.pop("invalid_reason", None)
-        else:
-            section["invalid_reason"] = "bitwise self-check failed; timing of a wrong result"
-    return record
+    lines = [line for line in text.splitlines() if line.strip()]
+    try:
+        detail = json.loads(lines[-2])["detail"]
+        result = json.loads(lines[-1])
+        fingerprint = detail["machine"]["fingerprint"]
+        identity = (detail["workload"], detail["seed"], detail["trace"])
+        values = [metric["value"] for metric in result["metrics"].values()]
+        counts = (result["correct"], result["attempted"], result["failed"])
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        raise ValueError("does not end in a perfbench detail line and result line") from None
+    if not (
+        isinstance(fingerprint, str)
+        and isinstance(identity[0], str)
+        and all(isinstance(v, int) for v in (*identity[1:], *counts[1:]))
+        and isinstance(counts[0], bool)
+        and all(isinstance(v, (int, float)) for v in values)
+    ):
+        raise ValueError("perfbench detail or result line has a field of the wrong type")
+    return detail, result
 
 
-def _gated_seconds(record: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
-    """Extract ``{metric: {seconds, valid}}`` for each gated metric."""
-    out: dict[str, dict[str, Any]] = {}
-    batch_solve = record.get("batch_solve") or {}
-    if "batch_s" in batch_solve:
-        out["batch_solve"] = {
-            "seconds": batch_solve["batch_s"],
-            "valid": bool(batch_solve.get("valid", True)),
-        }
-    mech = record.get("mech_batch") or {}
-    if "batch_s" in mech:
-        out["mech_batch"] = {
-            "seconds": mech["batch_s"],
-            "valid": bool(mech.get("valid", True)) and bool(mech.get("bitwise_equal", False)),
-        }
-    deviant = mech.get("deviant_mix") or {}
-    if "batch_s" in deviant:
-        out["deviant_mix"] = {
-            "seconds": deviant["batch_s"],
-            "valid": bool(deviant.get("bitwise_equal", False)),
-        }
-    cache = record.get("solve_cache") or {}
-    if "warm_pass_s" in cache:
-        out["solve_cache"] = {
-            "seconds": cache["warm_pass_s"],
-            "valid": bool(cache.get("valid", True)),
-        }
-    return out
+def history_row(detail: Mapping[str, Any], result: Mapping[str, Any]) -> dict[str, Any]:
+    """One append-only trajectory row distilled from a perfbench run.
 
-
-def _workload_signature(record: Mapping[str, Any]) -> str:
-    """Compact id of the bench workload sizes behind the gated numbers.
-
-    Rows only gate against rows measuring the *same* work: a smoke-sized
-    ``write_benchmark(n_networks=50, mech_count=20)`` run writes far
-    smaller seconds than the default workload, and with a min-baseline
-    it would make every subsequent full run read as a regression.
-    """
-    batch = record.get("batch_solve") or {}
-    mech = record.get("mech_batch") or {}
-    cache = record.get("solve_cache") or {}
-    return (
-        f"solve{batch.get('n_networks', '?')}x{batch.get('m', '?')}"
-        f"/cache{cache.get('n_networks', '?')}"
-        f"/mech{mech.get('m', '?')}x{mech.get('count', '?')}"
-    )
-
-
-def history_row(record: Mapping[str, Any], label: str | None = None) -> dict[str, Any]:
-    """One append-only trajectory row distilled from a bench record.
-
-    Rows are small on purpose — the full record stays in
-    ``BENCH_batch.json``; the history keeps only what the gate and a
-    trend plot need.  The timestamp is wall-clock (histories are not
+    The timestamp is when the run was recorded (histories are not
     traces; they are allowed — required, even — to differ run to run).
     """
-    machine = machine_fingerprint(record.get("machine"))
-    row = {
-        "schema": 1,
+    return {
+        "schema": 2,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
-        "fingerprint": machine["fingerprint"],
-        "workload": _workload_signature(record),
-        "cpu_count": machine.get("cpu_count"),
-        "python": machine.get("python"),
-        "gated": _gated_seconds(record),
+        "fingerprint": detail["machine"]["fingerprint"],
+        "workload": detail["workload"],
+        "seed": detail["seed"],
+        "trace": detail["trace"],
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
     }
-    if label:
-        row["label"] = label
-    return row
+
+
+def write_record(
+    path: str | os.PathLike[str], runs: Sequence[tuple[Mapping[str, Any], Mapping[str, Any]]]
+) -> None:
+    """Overwrite ``path`` with the runs' machine stanza and their lines.
+
+    Raises :class:`ValueError` when the runs come from different
+    machines: one record describes one machine.
+    """
+    machines = {json.dumps(detail["machine"], sort_keys=True) for detail, _ in runs}
+    if len(machines) != 1:
+        raise ValueError(f"runs come from {len(machines)} machines; record one machine at a time")
+    record = {
+        "machine": json.loads(machines.pop()),
+        "runs": [{"detail": detail, "result": result} for detail, result in runs],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def append_history(path: str | os.PathLike[str], row: Mapping[str, Any]) -> None:
@@ -185,104 +158,123 @@ def read_history(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     return rows
 
 
+def load_gates() -> dict[str, tuple[str, float]]:
+    """``{metric: (better, bound)}`` for the end-to-end metrics of ``BENCHMARK.json``."""
+    with open(BENCHMARK_PATH, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: (m["better"], float(m["bound"])) for m in spec["end_to_end"]}
+
+
+def _counts(row: Mapping[str, Any]) -> bool:
+    """A row counts for gating iff its run was correct with no failures."""
+    return row.get("correct") is True and row.get("failed") == 0
+
+
 def diff_history(
     rows: Iterable[Mapping[str, Any]],
-    threshold: float = 0.5,
+    gates: Mapping[str, tuple[str, float]],
+    threshold: float | None = None,
     baseline_rows: Iterable[Mapping[str, Any]] | None = None,
 ) -> dict[str, Any]:
-    """Gate the newest row against the best comparable baseline.
+    """Gate the newest row of each workload against its median baseline.
 
-    The baseline for each gated metric is the *minimum* valid seconds
-    over prior rows sharing the newest row's machine fingerprint *and*
-    workload signature (min, not mean:
-    wall-clock noise only ever slows things down, so the best past run
-    is the honest capability of this machine).  A metric regresses when
-    ``current > baseline * (1 + threshold)``.
+    The baseline of a metric is the median over earlier counting rows
+    (see :func:`_counts`) that share the newest row's fingerprint,
+    workload and trace flag.  A metric regresses when it is worse than
+    that median by more than its ``bound`` from ``gates``, as a
+    fraction of the median, in its ``better`` direction; ``threshold``
+    replaces every bound.  It must be finite and non-negative: ``x > nan``
+    and ``x > inf`` are never true, so such a gate would pass anything.
 
-    Returns ``{"status": "ok" | "regression" | "no-data",
-    "fingerprint": ..., "metrics": {name: {...}}, "regressions": [...]}``.
     ``baseline_rows`` overrides the in-file baseline (the ``--baseline``
-    flag): the newest row still comes from ``rows``.  ``threshold`` must
-    be finite and non-negative: ``current > nan`` and ``current > inf``
-    are never true, so such a gate would pass any slowdown.
+    flag): the newest rows still come from ``rows``.  Returns
+    ``{"status": "ok" | "regression" | "no-data", "threshold",
+    "workloads": {workload: {...}}, "regressions": ["workload.metric"]}``.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
+    # Imported here: ``import repro.obs`` (every metrics user) would
+    # otherwise load statistics, decimal and fractions.
+    import statistics
+
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     rows = list(rows)
-    if not rows:
-        return {"status": "no-data", "metrics": {}, "regressions": [], "reason": "empty history"}
-    current = rows[-1]
-    fingerprint = current.get("fingerprint")
-    workload = current.get("workload")
-    pool = list(baseline_rows) if baseline_rows is not None else rows[:-1]
-    comparable = [
-        r
-        for r in pool
-        if r.get("fingerprint") == fingerprint
-        and r.get("workload") == workload
-        and r is not current
-    ]
+    if baseline_rows is not None:
+        baseline_rows = list(baseline_rows)
+    newest = {row.get("workload"): index for index, row in enumerate(rows)}
 
-    metrics: dict[str, Any] = {}
+    workloads: dict[str, Any] = {}
     regressions: list[str] = []
-    for name in GATED_METRICS:
-        entry = (current.get("gated") or {}).get(name)
-        if entry is None:
-            continue
-        detail: dict[str, Any] = {"current_s": entry["seconds"], "valid": entry["valid"]}
-        baselines = [
-            r["gated"][name]["seconds"]
-            for r in comparable
-            if name in (r.get("gated") or {}) and r["gated"][name].get("valid", True)
+    compared = False
+    for workload, index in newest.items():
+        current = rows[index]
+        key = (current.get("fingerprint"), workload, current.get("trace"))
+        earlier = rows[:index] if baseline_rows is None else baseline_rows
+        comparable = [
+            r
+            for r in earlier
+            if (r.get("fingerprint"), r.get("workload"), r.get("trace")) == key and _counts(r)
         ]
-        if not entry["valid"]:
-            detail["verdict"] = "skipped-invalid"
-        elif not baselines:
-            detail["verdict"] = "no-baseline"
-        else:
-            best = min(baselines)
-            detail["baseline_s"] = best
-            detail["ratio"] = entry["seconds"] / best if best > 0 else float("inf")
-            limit = best * (1.0 + threshold)
-            if entry["seconds"] > limit and best > 0:
+        entry: dict[str, Any] = {
+            "fingerprint": key[0],
+            "trace": key[2],
+            "baseline_rows": len(comparable),
+            "metrics": {},
+        }
+        workloads[workload] = entry
+        if not _counts(current):
+            entry["verdict"] = "skipped-incorrect"
+            continue
+        for name, (better, bound) in gates.items():
+            if name not in current.get("metrics", {}):
+                continue
+            value = current["metrics"][name]
+            limit = bound if threshold is None else threshold
+            detail: dict[str, Any] = {"current": value, "better": better, "bound": limit}
+            entry["metrics"][name] = detail
+            past = [r["metrics"][name] for r in comparable if name in r.get("metrics", {})]
+            if not past:
+                detail["verdict"] = "no-baseline"
+                continue
+            compared = True
+            baseline = statistics.median(past)
+            detail["baseline"] = baseline
+            # Positive = worse, as a fraction of the baseline.
+            worse = (value - baseline) if better == "lower" else (baseline - value)
+            detail["worse"] = worse / baseline if baseline > 0 else 0.0
+            if detail["worse"] > limit:
                 detail["verdict"] = "regression"
-                regressions.append(name)
+                regressions.append(f"{workload}.{name}")
             else:
                 detail["verdict"] = "ok"
-        metrics[name] = detail
 
-    if not metrics:
-        status = "no-data"
-    elif regressions:
-        status = "regression"
-    elif all(m["verdict"] in ("no-baseline", "skipped-invalid") for m in metrics.values()):
-        status = "no-data"
-    else:
-        status = "ok"
+    status = "regression" if regressions else "ok" if compared else "no-data"
     return {
         "status": status,
-        "fingerprint": fingerprint,
         "threshold": threshold,
-        "baseline_rows": len(comparable),
-        "metrics": metrics,
+        "workloads": workloads,
         "regressions": regressions,
     }
 
 
 def format_diff(result: Mapping[str, Any]) -> str:
     """Human-readable rendering of a :func:`diff_history` result."""
-    lines = [
-        f"perf diff: status={result['status']}"
-        f" fingerprint={result.get('fingerprint')}"
-        f" baseline_rows={result.get('baseline_rows', 0)}"
-        f" threshold={result.get('threshold', 0.0):.0%}"
-    ]
-    for name, detail in result.get("metrics", {}).items():
-        parts = [f"  {name}: {detail['verdict']}", f"current={detail['current_s']:.4f}s"]
-        if "baseline_s" in detail:
-            parts.append(f"baseline={detail['baseline_s']:.4f}s")
-            parts.append(f"ratio={detail['ratio']:.2f}x")
-        lines.append(" ".join(parts))
+    threshold = result.get("threshold")
+    bound = "per-metric bound" if threshold is None else f"{threshold:.0%}"
+    lines = [f"perf diff: status={result['status']} threshold={bound}"]
+    for workload, entry in result.get("workloads", {}).items():
+        head = (
+            f"  {workload}: fingerprint={entry['fingerprint']} trace={entry['trace']}"
+            f" baseline_rows={entry['baseline_rows']}"
+        )
+        if "verdict" in entry:
+            head += f" {entry['verdict']}"
+        lines.append(head)
+        for name, detail in entry["metrics"].items():
+            parts = [f"    {name}: {detail['verdict']}", f"current={detail['current']:.6g}"]
+            if "baseline" in detail:
+                parts.append(f"median={detail['baseline']:.6g}")
+                parts.append(f"worse={detail['worse']:+.1%} (bound {detail['bound']:.0%})")
+            lines.append(" ".join(parts))
     if result.get("regressions"):
         lines.append(f"REGRESSION in: {', '.join(result['regressions'])}")
     return "\n".join(lines)

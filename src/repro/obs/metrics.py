@@ -20,7 +20,7 @@ constraints drive the shape:
    benchmark.
 
 Naming convention: dotted lowercase paths (``crypto.signatures_created``,
-``mechanism.fines_levied``, ``cache.solve_linear.hits``).  The registry
+``mechanism.fines_levied``, ``cache.solve_linear.task_hits``).  The registry
 has no clock: wall-clock time enters only as :mod:`repro.obs.perf`
 spans, histograms under ``perf.<path>`` in seconds.
 

@@ -1,11 +1,10 @@
-"""Metrics reports in the ``BENCH_*.json`` house style.
+"""Metrics reports: a registry snapshot under a ``machine`` stanza.
 
-The repo records performance trajectories as small JSON documents with a
-``machine`` stanza (see ``BENCH_batch.json``); this module renders a
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot the same way so
-profiling output from any entry point — the CLI ``run`` command, the
-experiment runner's ``--metrics`` flag, the batch benchmark — is
-uniform and diffable.
+This module renders a :class:`~repro.obs.metrics.MetricsRegistry`
+snapshot as a small JSON document with the machine it ran on, so
+profiling output from any entry point — the CLI ``run`` and ``faults
+run`` commands' ``--metrics`` flag — is uniform and diffable, and
+``python -m repro perf report --metrics`` renders its span tree.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ __all__ = ["machine_info", "metrics_report", "write_metrics_report"]
 
 
 def machine_info() -> dict[str, Any]:
-    """The ``machine`` stanza used by every BENCH record."""
+    """The ``machine`` stanza of every metrics report and benchmark run."""
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
@@ -31,7 +30,7 @@ def machine_info() -> dict[str, Any]:
 
 
 def metrics_report(snapshot: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """A BENCH-compatible report: machine info plus a metrics snapshot.
+    """A metrics report: machine info plus a metrics snapshot.
 
     ``snapshot`` defaults to the active registry's current state.
     """

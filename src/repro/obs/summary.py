@@ -135,22 +135,10 @@ def summarize_trace(
     else:
         lines.append("ledger: no transfers")
 
-    # ---- metrics sidecar (cache, crypto, perf spans) -----------------
+    # ---- metrics sidecar (crypto, perf spans) ------------------------
     if metrics:
-        gauges = metrics.get("gauges", {})
         counters = metrics.get("counters", {})
-        hits = gauges.get("cache.solve_linear.hits")
-        misses = gauges.get("cache.solve_linear.misses")
         lines.append("")
-        if hits is not None and misses is not None:
-            total = hits + misses
-            rate = hits / total if total else 0.0
-            lines.append(
-                f"solve cache: {int(hits)} hits / {int(misses)} misses "
-                f"(hit rate {_fmt(rate)}), size {int(gauges.get('cache.solve_linear.size', 0))}"
-            )
-        else:
-            lines.append("solve cache: no statistics recorded")
         sigs = counters.get("crypto.signatures_created")
         verifs = counters.get("crypto.verifications_performed")
         if sigs is not None or verifs is not None:

@@ -12,8 +12,8 @@ has no privileged information, so the client can check the server's
 arithmetic exactly).
 
 The latency report reuses :class:`repro.obs.metrics.LatencyHistogram`,
-so percentiles here and in ``BENCH_batch.json`` are computed by the
-same code.
+so percentiles here and in ``python -m repro perf report`` are computed
+by the same code.
 
 Connects retry with exponential backoff under the runtime's
 :class:`~repro.runtime.retry.RetryPolicy` (interpreted as wall-clock

@@ -31,3 +31,27 @@ def chain_rates(five_proc_network):
     """(z, root_rate, true_rates) convenience triple for mechanism tests."""
     net = five_proc_network
     return net.z, float(net.w[0]), [float(t) for t in net.w[1:]]
+
+
+@pytest.fixture
+def perfbench_output():
+    """Build the detail line and result line a ``perfbench/run.py`` run
+    ends with; keyword arguments beyond the run's identity are metrics."""
+    import json
+
+    from repro.obs.bench import machine_fingerprint
+
+    def build(
+        workload="population", *, seed=1, trace=0, correct=True, failed=0, cpus=2, **metrics
+    ):
+        machine = machine_fingerprint({"cpu_count": cpus, "platform": "test", "python": "3.11.7"})
+        detail = {"workload": workload, "seed": seed, "trace": trace, "machine": machine}
+        result = {
+            "correct": correct,
+            "attempted": 100,
+            "failed": failed,
+            "metrics": {name: {"value": value, "unit": "u"} for name, value in metrics.items()},
+        }
+        return json.dumps({"detail": detail}) + "\n" + json.dumps(result) + "\n"
+
+    return build

@@ -158,7 +158,7 @@ class TestBenchEntryPoint:
             (["experiments", "--bench"], "--bench"),
             (["experiments", "F1", "--bench-path", "x.json"], "--bench-path"),
             (["experiments", "F1", "--history", "h.jsonl"], "--history"),
-            (["perf", "record", "--jobs", "2"], "--jobs 2"),
+            (["perf", "record", "run.out", "--jobs", "2"], "--jobs 2"),
         ],
         ids=["experiments-bench", "bench-path", "history", "perf-record-jobs"],
     )

@@ -1,19 +1,19 @@
-"""Integration tests for the performance observability workflow: the
-bench record with its embedded perf snapshot, the solve-cache task
-counters (the old all-zeros bug), the BENCH_history.jsonl trajectory,
-and the ``perf report/diff`` CLI."""
+"""Integration tests for the performance workflow: the perf spans one
+collecting() scope records across every layer, the solve-cache task
+counters (the old all-zeros bug), ``perf record`` of perfbench output
+into BENCH_batch.json and BENCH_history.jsonl, and ``perf report/diff``."""
 
 from __future__ import annotations
 
+import io
 import json
-import os
 
 import pytest
 
 from repro.cli import main
 from repro.obs.bench import read_history
-from repro.obs.metrics import get_registry
-from repro.experiments.runner import write_benchmark
+from repro.obs.metrics import collecting, get_registry
+from repro.obs.report import write_metrics_report
 
 
 @pytest.fixture(autouse=True)
@@ -21,12 +21,6 @@ def _clean_registry():
     get_registry().reset()
     yield
     get_registry().reset()
-
-
-def _tiny_bench(**overrides):
-    kwargs = dict(n_networks=30, m=3, mech_m=3, mech_count=12)
-    kwargs.update(overrides)
-    return kwargs
 
 
 class TestSolveCacheTaskCounters:
@@ -47,20 +41,43 @@ class TestSolveCacheTaskCounters:
 
 class TestBenchRecord:
     @pytest.fixture(scope="class")
-    def record(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "BENCH_batch.json"
-        history = path.parent / "BENCH_history.jsonl"
-        get_registry().reset()
-        record = write_benchmark(path, history_path=history, **_tiny_bench())
-        get_registry().reset()
-        return {"record": record, "path": path, "history": history}
+    def spans(self, tmp_path_factory):
+        """One collecting() scope over every layer, as a metrics report."""
+        from repro.dlt.batch import solve_linear_batch
+        from repro.mechanism.population import run_population
+        from repro.runtime.session import run_resilient
 
-    def test_embedded_perf_snapshot_covers_all_layers(self, record):
-        spans = {
-            name
-            for name in record["record"]["perf"]["histograms"]
-            if name.startswith("perf.")
-        }
+        get_registry().reset()
+        with collecting() as registry:
+            run_population(3, 4, seed=7)
+            run_population(3, 4, seed=7, use_batch=True)
+            solve_linear_batch([[2.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [[1.0, 0.5], [0.5, 0.2]])
+            faults = [
+                {"kind": "net_drop", "target": 2, "param": 2},
+                {"kind": "crash_exec", "target": 3, "param": 0.5},
+            ]
+            run_resilient([1.0 + 0.1 * i for i in range(6)], [0.2] * 5, faults, seed=7)
+            snapshot = registry.snapshot()
+        get_registry().reset()
+        path = tmp_path_factory.mktemp("spans") / "metrics.json"
+        write_metrics_report(path, snapshot)
+        return {"histograms": snapshot["histograms"], "path": path}
+
+    @pytest.fixture
+    def recorded(self, tmp_path, perfbench_output):
+        """``perf record`` of one population and one serve_loopback run."""
+        paths = []
+        for workload in ("population", "serve_loopback"):
+            path = tmp_path / f"{workload}.out"
+            path.write_text(perfbench_output(workload, setup_s=0.5, throughput_rps=100.0))
+            paths.append(str(path))
+        bench, history = tmp_path / "BENCH_batch.json", tmp_path / "BENCH_history.jsonl"
+        code = main(["perf", "record", *paths, "--bench-path", str(bench), "--history", str(history)])
+        assert code == 0
+        return {"bench": bench, "history": history, "paths": paths}
+
+    def test_embedded_perf_snapshot_covers_all_layers(self, spans):
+        spans = {name for name in spans["histograms"] if name.startswith("perf.")}
         # Phase I–IV of the scalar mechanism...
         for phase in ("phase_1", "phase_2", "phase_3", "phase_4"):
             assert f"perf.mechanism.{phase}" in spans
@@ -71,48 +88,48 @@ class TestBenchRecord:
         assert "perf.solve.batch_linear" in spans
         assert {"perf.runtime.setup", "perf.runtime.epoch", "perf.runtime.settlement"} <= spans
 
-    def test_sections_are_fingerprinted_and_validity_marked(self, record):
-        rec = record["record"]
-        fp = rec["machine"]["fingerprint"]
-        for name in ("batch_solve", "solve_cache", "mech_batch", "runtime", "byzantine_mix"):
-            assert rec[name]["machine_fingerprint"] == fp
-            assert rec[name]["valid"] is True
-
-    def test_history_row_was_appended(self, record):
-        rows = read_history(record["history"])
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["fingerprint"] == record["record"]["machine"]["fingerprint"]
-        assert row["workload"] == "solve30x3/cache30/mech3x12"
-        assert set(row["gated"]) == {"batch_solve", "mech_batch", "deviant_mix", "solve_cache"}
-        assert all(entry["valid"] for entry in row["gated"].values())
-
-    def test_history_path_none_skips_the_append(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        write_benchmark(path, history_path=None, **_tiny_bench())
-        assert not os.path.exists(tmp_path / "BENCH_history.jsonl")
-
-    def test_perf_report_cli_renders_span_tree_and_percentiles(self, record, capsys):
-        assert main(["perf", "report", "--bench-path", str(record["path"])]) == 0
+    def test_perf_report_cli_renders_span_tree_and_percentiles(self, spans, capsys):
+        assert main(["perf", "report", "--metrics", str(spans["path"])]) == 0
         out = capsys.readouterr().out
         assert "span tree" in out
         assert "mechanism" in out and "phase_1" in out and "runtime" in out
         assert "latency percentiles" in out
         assert "p95" in out and "p99" in out
-        assert record["record"]["machine"]["fingerprint"] in out
+
+    def test_sections_are_fingerprinted_and_validity_marked(self, recorded):
+        record = json.loads(recorded["bench"].read_text())
+        fingerprint = record["machine"]["fingerprint"]
+        assert [run["detail"]["machine"]["fingerprint"] for run in record["runs"]] == [fingerprint] * 2
+        assert [run["result"]["correct"] for run in record["runs"]] == [True, True]
+
+    def test_history_row_was_appended(self, recorded):
+        rows = read_history(recorded["history"])
+        assert [row["workload"] for row in rows] == ["population", "serve_loopback"]
+        assert all(row["schema"] == 2 and row["correct"] for row in rows)
+        assert rows[0]["metrics"] == {"setup_s": 0.5, "throughput_rps": 100.0}
+
+    def test_history_path_none_skips_the_append(self, tmp_path, perfbench_output, monkeypatch):
+        # '-' reads the run from standard input; --history '' appends nothing.
+        monkeypatch.setattr("sys.stdin", io.StringIO(perfbench_output(setup_s=0.5)))
+        bench = tmp_path / "BENCH.json"
+        assert main(["perf", "record", "-", "--bench-path", str(bench), "--history", ""]) == 0
+        assert json.loads(bench.read_text())["runs"][0]["detail"]["workload"] == "population"
+        assert list(tmp_path.iterdir()) == [bench]
+
+    def test_malformed_file_exits_2_and_writes_nothing(self, recorded, tmp_path, capsys):
+        bench_before = recorded["bench"].read_text()
+        history_before = recorded["history"].read_text()
+        bad = tmp_path / "bad.out"
+        bad.write_text("Traceback (most recent call last):\n")
+        argv = ["perf", "record", recorded["paths"][0], str(bad)]
+        argv += ["--bench-path", str(recorded["bench"]), "--history", str(recorded["history"])]
+        assert main(argv) == 2
+        assert "nothing recorded" in capsys.readouterr().err
+        assert recorded["bench"].read_text() == bench_before
+        assert recorded["history"].read_text() == history_before
 
 
 class TestPerfReportCLI:
-    def test_missing_bench_record_exits_2(self, tmp_path, capsys):
-        assert main(["perf", "report", "--bench-path", str(tmp_path / "none.json")]) == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_pre_profiling_record_without_snapshot_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"batch_solve": {"batch_s": 0.1}}))
-        assert main(["perf", "report", "--bench-path", str(path)]) == 2
-        assert "no embedded perf snapshot" in capsys.readouterr().err
-
     def test_report_from_metrics_file(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         path.write_text(
@@ -131,48 +148,53 @@ class TestPerfReportCLI:
                 }
             )
         )
-        assert main(["perf", "report", "--bench-path", "unused", "--metrics", str(path)]) == 0
+        assert main(["perf", "report", "--metrics", str(path)]) == 0
         out = capsys.readouterr().out
         assert "mech" in out and "phase_1" in out
 
 
-def _history_line(fingerprint, batch_s, warm_s=0.02):
-    return (
-        json.dumps(
-            {
-                "schema": 1,
-                "fingerprint": fingerprint,
-                "gated": {
-                    "batch_solve": {"seconds": batch_s, "valid": True},
-                    "solve_cache": {"seconds": warm_s, "valid": True},
-                },
-            }
-        )
-        + "\n"
-    )
-
-
 class TestPerfDiffCLI:
-    FP = "deadbeef0123"
+    @pytest.fixture
+    def history(self, tmp_path, perfbench_output):
+        """Record each ``(kwargs)`` run with ``perf record``, return the history path."""
+        path = tmp_path / "h.jsonl"
 
-    def test_ok_when_newest_row_is_within_threshold(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        history.write_text(
-            _history_line(self.FP, 0.10) + _history_line(self.FP, 0.11)
-        )
-        assert main(["perf", "diff", "--history", str(history)]) == 0
-        assert "status=ok" in capsys.readouterr().out
+        def record(*runs):
+            for i, kwargs in enumerate(runs):
+                out = tmp_path / f"run{i}.out"
+                out.write_text(perfbench_output(**kwargs))
+                argv = ["perf", "record", str(out), "--bench-path", str(tmp_path / "b.json")]
+                assert main(argv + ["--history", str(path)]) == 0
+            return str(path)
 
-    def test_injected_slowdown_exits_1(self, tmp_path, capsys):
-        # The acceptance check: appending a synthetically slowed row must
-        # flip the gate to a nonzero exit.
-        history = tmp_path / "h.jsonl"
-        history.write_text(
-            _history_line(self.FP, 0.10) + _history_line(self.FP, 0.30)
-        )
-        assert main(["perf", "diff", "--history", str(history), "--threshold", "0.5"]) == 1
+        return record
+
+    def _run(self, p95=1.0, rps=100.0, **kwargs):
+        return {"latency_p95_ms": p95, "throughput_rps": rps, **kwargs}
+
+    def test_ok_when_newest_row_is_within_threshold(self, history, capsys):
+        path = history(self._run(1.0), self._run(1.2), self._run(1.1))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 0
         out = capsys.readouterr().out
-        assert "REGRESSION" in out and "batch_solve" in out
+        assert "status=ok" in out and "population" in out
+
+    def test_injected_slowdown_exits_1(self, history, capsys):
+        # The acceptance check: a row whose lower-is-better latency
+        # worsened past its BENCHMARK.json bound flips the gate.
+        path = history(self._run(1.0), self._run(1.0), self._run(1.5))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION in: population.latency_p95_ms" in out
+
+    def test_throughput_drop_exits_1(self, history, capsys):
+        path = history(self._run(rps=100.0), self._run(rps=100.0), self._run(rps=60.0))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 1
+        assert "REGRESSION in: population.throughput_rps" in capsys.readouterr().out
+        # --threshold 1.0 (what CI passes) tolerates the drop.
+        assert main(["perf", "diff", "--history", path, "--threshold", "1.0"]) == 0
 
     def test_empty_history_seeds_baseline_and_exits_0(self, tmp_path, capsys):
         # Fresh clone: no trajectory rows yet.  The gate must skip
@@ -182,31 +204,39 @@ class TestPerfDiffCLI:
         out = capsys.readouterr().out
         assert "baseline not yet seeded" in out and "gate skipped" in out
 
-    def test_foreign_fingerprint_rows_seed_baseline_and_exit_0(self, tmp_path, capsys):
+    def test_foreign_fingerprint_rows_seed_baseline_and_exit_0(self, history, capsys):
         # History copied from another machine: rows exist but none share
         # the newest row's fingerprint, so there is nothing to gate —
         # skip with the seeding notice rather than erroring.
-        history = tmp_path / "h.jsonl"
-        history.write_text(
-            _history_line("other-machine", 0.10) + _history_line(self.FP, 0.30)
-        )
-        assert main(["perf", "diff", "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "seeds the baseline" in out
+        path = history(self._run(1.0, cpus=64), self._run(3.0))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 0
+        assert "seed the baseline" in capsys.readouterr().out
 
-    def test_single_row_has_no_baseline_and_passes(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        history.write_text(_history_line(self.FP, 0.10))
-        assert main(["perf", "diff", "--history", str(history)]) == 0
+    def test_single_row_has_no_baseline_and_passes(self, history, capsys):
+        path = history(self._run(1.0))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 0
         assert "no-baseline" in capsys.readouterr().out
 
-    def test_explicit_baseline_file(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        baseline = tmp_path / "b.jsonl"
-        history.write_text(_history_line(self.FP, 0.30))
-        baseline.write_text(_history_line(self.FP, 0.10))
-        code = main(
-            ["perf", "diff", "--history", str(history), "--baseline", str(baseline)]
-        )
+    def test_incorrect_run_is_never_baseline_nor_gated(self, history, capsys):
+        # A wrong result's fast run must not become the baseline...
+        path = history(self._run(0.1, correct=False), self._run(1.0), self._run(1.1))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 0
+        assert "baseline_rows=1" in capsys.readouterr().out
+        # ... and a wrong result's slow run is not gated.
+        history(self._run(9.0, failed=2))
+        capsys.readouterr()
+        assert main(["perf", "diff", "--history", path]) == 0
+        assert "skipped-incorrect" in capsys.readouterr().out
+
+    def test_explicit_baseline_file(self, tmp_path, history, capsys, perfbench_output):
+        path = history(self._run(3.0))
+        baseline = tmp_path / "baseline.out"
+        baseline.write_text(perfbench_output(**self._run(1.0)))
+        argv = ["perf", "record", str(baseline), "--bench-path", str(tmp_path / "c.json")]
+        assert main(argv + ["--history", str(tmp_path / "b.jsonl")]) == 0
+        code = main(["perf", "diff", "--history", path, "--baseline", str(tmp_path / "b.jsonl")])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out

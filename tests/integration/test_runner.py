@@ -6,8 +6,6 @@ byte-identical result tables, because every task's seed derives from the
 task identity, not from worker scheduling.
 """
 
-import json
-
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, Workload
@@ -16,7 +14,6 @@ from repro.experiments.runner import (
     run_experiments,
     run_replications,
     task_seed,
-    write_benchmark,
 )
 
 FAST_IDS = ["F1", "F3", "T2.1"]
@@ -87,35 +84,6 @@ class TestRunnerApi:
         [run] = run_experiments(["F1"])
         assert run.duration > 0
         assert run.result.passed
-
-
-class TestBenchmarkRecord:
-    def test_write_benchmark_shape(self, tmp_path):
-        path = tmp_path / "BENCH_batch.json"
-        record = write_benchmark(
-            path,
-            history_path=tmp_path / "BENCH_history.jsonl",
-            n_networks=50,
-            m=5,
-            mech_m=4,
-            mech_count=20,
-        )
-        on_disk = json.loads(path.read_text())
-        assert on_disk == json.loads(json.dumps(record))  # round-trips
-        assert on_disk["batch_solve"]["n_networks"] == 50
-        assert on_disk["batch_solve"]["speedup"] > 0
-        assert on_disk["machine"]["cpu_count"] >= 1
-        # The replay cache misses every network cold and hits every one warm.
-        cache = on_disk["solve_cache"]
-        assert (cache["hits"], cache["misses"]) == (50, 50)
-        # The batched mechanism engine section records a verified
-        # scalar-vs-batch comparison.
-        mech = on_disk["mech_batch"]
-        assert mech["bitwise_equal"] is True
-        assert mech["scalar_s"] > 0 and mech["batch_s"] > 0
-        # One entry point, one record: the in-process serve harness and
-        # the parallel-runner timing are not part of it.
-        assert not {"serve", "serve_pool", "parallel_runner"} & set(on_disk)
 
 
 class TestWorkerCacheStats:

@@ -1,5 +1,5 @@
-"""Unit tests for the benchmark-trajectory layer (repro.obs.bench):
-fingerprints, section validity, history rows, and the regression gate."""
+"""Unit tests for the benchmark record (repro.obs.bench): fingerprints,
+perfbench run parsing, history rows, and the per-workload regression gate."""
 
 from __future__ import annotations
 
@@ -8,29 +8,30 @@ import json
 import pytest
 
 from repro.obs.bench import (
-    GATED_METRICS,
-    annotate_sections,
     append_history,
     diff_history,
     format_diff,
     history_row,
+    load_gates,
     machine_fingerprint,
+    parse_run,
     read_history,
+    write_record,
 )
 
+GATES = {"throughput_rps": ("higher", 0.25), "latency_p95_ms": ("lower", 0.25)}
 
-def _record(cpu_count=4, bitwise=True, batch_s=0.1, warm_s=0.02):
-    return {
-        "machine": {"cpu_count": cpu_count, "platform": "test", "python": "3.11.0"},
-        "batch_solve": {"batch_s": batch_s, "scalar_loop_s": 1.0},
-        "mech_batch": {
-            "batch_s": 0.3,
-            "scalar_s": 1.0,
-            "bitwise_equal": bitwise,
-            "deviant_mix": {"batch_s": 0.4, "bitwise_equal": bitwise},
-        },
-        "solve_cache": {"warm_pass_s": warm_s, "cold_pass_s": 0.2},
-    }
+#: Outputs that do not end in a detail line and a result line, built
+#: from the ``perfbench_output`` fixture.
+MALFORMED = {
+    "empty": lambda out: "",
+    "result-only": lambda out: out(setup_s=0.5).splitlines()[1],
+    "not-json": lambda out: "not json\nnot json either\n",
+    "swapped": lambda out: "\n".join(reversed(out(setup_s=0.5).splitlines())),
+    "seed-as-text": lambda out: out(seed="1", setup_s=0.5),
+    "metric-without-value": lambda out: out().splitlines()[0]
+    + '\n{"correct": true, "attempted": 1, "failed": 0, "metrics": {"setup_s": {"unit": "s"}}}',
+}
 
 
 class TestFingerprint:
@@ -56,128 +57,160 @@ class TestFingerprint:
         assert "cpu_count" in stanza and "fingerprint" in stanza
 
 
-class TestAnnotateSections:
-    def test_sections_get_fingerprint_and_validity(self):
-        record = annotate_sections(_record(cpu_count=4))
-        fp = record["machine"]["fingerprint"]
-        for name in ("batch_solve", "mech_batch", "solve_cache"):
-            assert record[name]["machine_fingerprint"] == fp
-            assert record[name]["valid"] is True
+class TestParseRun:
+    def test_earlier_output_is_ignored(self, perfbench_output):
+        detail, result = parse_run("warming up\n" + perfbench_output(setup_s=0.5) + "\n\n")
+        assert detail["workload"] == "population"
+        assert result["metrics"]["setup_s"]["value"] == 0.5
 
-    def test_failed_bitwise_check_invalidates_the_section(self):
-        record = annotate_sections(_record(bitwise=False))
-        assert record["mech_batch"]["valid"] is False
-        assert "bitwise" in record["mech_batch"]["invalid_reason"]
-        # Sections without a self-check stay valid.
-        assert record["batch_solve"]["valid"] is True
-        assert "invalid_reason" not in record["batch_solve"]
-
-    def test_perf_snapshot_is_not_annotated(self):
-        raw = _record()
-        raw["perf"] = {"counters": {}, "histograms": {}}
-        record = annotate_sections(raw)
-        assert "valid" not in record["perf"]
-        assert "machine_fingerprint" not in record["perf"]
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_output_is_refused(self, case, perfbench_output):
+        with pytest.raises(ValueError):
+            parse_run(MALFORMED[case](perfbench_output))
 
 
 class TestHistoryRow:
-    def test_row_extracts_gated_seconds_and_cache_tasks(self):
-        row = history_row(annotate_sections(_record()))
-        assert row["schema"] == 1
-        assert row["gated"]["batch_solve"]["seconds"] == 0.1
-        assert row["gated"]["mech_batch"]["valid"] is True
-        assert row["gated"]["deviant_mix"]["seconds"] == 0.4
-        assert row["gated"]["solve_cache"]["seconds"] == 0.02
-        assert GATED_METRICS == ("batch_solve", "mech_batch", "deviant_mix", "solve_cache")
-        assert set(row["gated"]) == set(GATED_METRICS)
-        assert "solve_cache_tasks" not in row
+    def test_row_extracts_every_metric_and_the_run_identity(self, perfbench_output):
+        row = history_row(*parse_run(perfbench_output(seed=4, setup_s=0.5, throughput_rps=90.0)))
+        assert row["schema"] == 2
         assert row["fingerprint"] == machine_fingerprint(
-            {"cpu_count": 4, "platform": "test", "python": "3.11.0"}
+            {"cpu_count": 2, "platform": "test", "python": "3.11.7"}
         )["fingerprint"]
+        assert (row["workload"], row["seed"], row["trace"]) == ("population", 4, 0)
+        assert (row["correct"], row["attempted"], row["failed"]) == (True, 100, 0)
+        assert row["metrics"] == {"setup_s": 0.5, "throughput_rps": 90.0}
+        assert "timestamp" in row
 
-    def test_failed_bitwise_rows_are_marked_invalid_not_dropped(self):
-        row = history_row(annotate_sections(_record(bitwise=False)))
-        assert row["gated"]["mech_batch"]["valid"] is False
-        assert row["gated"]["deviant_mix"]["valid"] is False
+    def test_failed_bitwise_rows_are_marked_invalid_not_dropped(self, perfbench_output):
+        # perfbench reports a bitwise mismatch as correct=false: the row
+        # is kept, marked, and the gate never counts it (see below).
+        row = history_row(*parse_run(perfbench_output(correct=False, failed=3, setup_s=0.5)))
+        assert (row["correct"], row["failed"]) == (False, 3)
+        assert row["metrics"] == {"setup_s": 0.5}
 
-    def test_append_and_read_round_trip(self, tmp_path):
+    def test_append_and_read_round_trip(self, tmp_path, perfbench_output):
         path = tmp_path / "history.jsonl"
-        rows = [history_row(annotate_sections(_record(batch_s=s))) for s in (0.1, 0.12)]
+        rows = [history_row(*parse_run(perfbench_output(seed=s, setup_s=s))) for s in (1, 2)]
         for row in rows:
             append_history(path, row)
         assert read_history(path) == [json.loads(json.dumps(r)) for r in rows]
         assert read_history(tmp_path / "missing.jsonl") == []
 
 
-def _rows(*batch_seconds, fingerprint="abc", valid=True):
-    return [
-        {
-            "fingerprint": fingerprint,
-            "gated": {"batch_solve": {"seconds": s, "valid": valid}},
-        }
-        for s in batch_seconds
-    ]
+class TestWriteRecord:
+    def test_record_holds_the_machine_and_every_run(self, tmp_path, perfbench_output):
+        runs = [parse_run(perfbench_output(w, setup_s=0.5)) for w in ("population", "serve_loopback")]
+        path = tmp_path / "BENCH_batch.json"
+        write_record(path, runs)
+        record = json.loads(path.read_text())
+        assert record["machine"] == runs[0][0]["machine"]
+        assert [run["detail"]["workload"] for run in record["runs"]] == ["population", "serve_loopback"]
+        assert record["runs"][0]["result"] == runs[0][1]
+
+    def test_runs_from_two_machines_are_refused(self, tmp_path, perfbench_output):
+        runs = [parse_run(perfbench_output(cpus=c, setup_s=0.5)) for c in (2, 4)]
+        with pytest.raises(ValueError, match="2 machines"):
+            write_record(tmp_path / "BENCH_batch.json", runs)
+        assert not (tmp_path / "BENCH_batch.json").exists()
+
+
+def _row(workload="population", fingerprint="abc", trace=0, correct=True, failed=0, **metrics):
+    return {
+        "schema": 2,
+        "fingerprint": fingerprint,
+        "workload": workload,
+        "trace": trace,
+        "correct": correct,
+        "failed": failed,
+        "metrics": metrics,
+    }
+
+
+def _rows(*p95, **kwargs):
+    return [_row(latency_p95_ms=value, **kwargs) for value in p95]
+
+
+def _metric(result, name="latency_p95_ms", workload="population"):
+    return result["workloads"][workload]["metrics"][name]
 
 
 class TestDiffHistory:
     def test_within_threshold_is_ok(self):
-        result = diff_history(_rows(0.10, 0.11, 0.12), threshold=0.5)
+        result = diff_history(_rows(1.0, 1.2, 1.1, 1.2), GATES)
         assert result["status"] == "ok"
-        assert result["metrics"]["batch_solve"]["verdict"] == "ok"
-        # Baseline is the *minimum* of prior rows, not the mean.
-        assert result["metrics"]["batch_solve"]["baseline_s"] == 0.10
+        assert _metric(result)["verdict"] == "ok"
+        # Baseline is the *median* of prior rows, not the best one.
+        assert _metric(result)["baseline"] == 1.1
 
     def test_slowdown_beyond_threshold_is_a_regression(self):
-        result = diff_history(_rows(0.10, 0.20), threshold=0.5)
+        result = diff_history(_rows(1.0, 1.0, 1.3), GATES)
         assert result["status"] == "regression"
-        assert result["regressions"] == ["batch_solve"]
-        assert result["metrics"]["batch_solve"]["ratio"] == pytest.approx(2.0)
+        assert result["regressions"] == ["population.latency_p95_ms"]
+        assert _metric(result)["worse"] == pytest.approx(0.3)
+
+    def test_drop_of_a_higher_is_better_metric_is_a_regression(self):
+        rows = [_row(throughput_rps=value) for value in (100.0, 100.0, 70.0)]
+        result = diff_history(rows, GATES)
+        assert result["regressions"] == ["population.throughput_rps"]
+        # A rise is an improvement, never a regression.
+        rows[-1]["metrics"]["throughput_rps"] = 300.0
+        assert diff_history(rows, GATES)["status"] == "ok"
 
     def test_threshold_is_inclusive_at_the_limit(self):
-        result = diff_history(_rows(0.10, 0.15), threshold=0.5)
+        assert diff_history(_rows(1.0, 1.25), GATES)["status"] == "ok"
+
+    def test_threshold_replaces_every_bound(self):
+        result = diff_history(_rows(1.0, 1.3), GATES, threshold=0.5)
         assert result["status"] == "ok"
+        assert _metric(result)["bound"] == 0.5
+
+    def test_each_workload_is_gated_on_its_own_newest_row(self):
+        rows = _rows(1.0, workload="serve_loopback") + _rows(1.0)
+        rows += _rows(1.5, workload="serve_loopback") + _rows(1.1)
+        result = diff_history(rows, GATES)
+        assert result["regressions"] == ["serve_loopback.latency_p95_ms"]
+        assert _metric(result)["verdict"] == "ok"
 
     def test_different_workloads_never_compare(self):
-        # A smoke-sized bench run writes tiny seconds; with a min
-        # baseline it would turn every full-size run into a false
-        # regression unless workloads are segregated.
-        rows = _rows(0.001) + _rows(0.5)
-        rows[0]["workload"] = "solve50x5/cache50/mech4x20"
-        rows[1]["workload"] = "solve1000x10/cache1000/mech8x300"
-        result = diff_history(rows, threshold=0.5)
-        assert result["metrics"]["batch_solve"]["verdict"] == "no-baseline"
+        rows = _rows(0.1, workload="serve_loopback") + _rows(5.0)
+        result = diff_history(rows, GATES)
+        assert _metric(result)["verdict"] == "no-baseline"
+        assert result["status"] == "no-data"
 
     def test_row_carries_a_workload_signature(self):
-        row = history_row(annotate_sections(_record()))
-        assert "workload" in row and "mech" in row["workload"]
-        # The committed trajectory rows use this format; no serve suffix.
-        assert "serve" not in row["workload"]
+        # Fingerprint, workload and trace flag together pick the
+        # baseline; a --trace 1 row carries only per-layer metrics, so
+        # nothing in it is gated.
+        rows = _rows(1.0) + [_row(trace=1, **{"wire.decode_us": 9.0})]
+        result = diff_history(rows, GATES)
+        entry = result["workloads"]["population"]
+        assert (entry["trace"], entry["baseline_rows"], entry["metrics"]) == (1, 0, {})
+        assert result["status"] == "no-data"
 
     def test_different_fingerprints_never_compare(self):
         rows = _rows(0.01, fingerprint="other") + _rows(0.5)
-        result = diff_history(rows, threshold=0.5)
-        assert result["metrics"]["batch_solve"]["verdict"] == "no-baseline"
+        result = diff_history(rows, GATES)
+        assert _metric(result)["verdict"] == "no-baseline"
         assert result["status"] == "no-data"
 
     def test_invalid_current_row_is_skipped(self):
-        rows = _rows(0.1) + _rows(0.9, valid=False)
-        result = diff_history(rows, threshold=0.5)
-        assert result["metrics"]["batch_solve"]["verdict"] == "skipped-invalid"
+        rows = _rows(1.0) + _rows(9.0, correct=False)
+        result = diff_history(rows, GATES)
+        assert result["workloads"]["population"]["verdict"] == "skipped-incorrect"
         assert result["status"] == "no-data"
 
     def test_invalid_baseline_rows_are_excluded(self):
-        rows = _rows(0.01, valid=False) + _rows(0.2, 0.25)
-        result = diff_history(rows, threshold=0.5)
-        assert result["metrics"]["batch_solve"]["baseline_s"] == 0.2
+        rows = _rows(0.01, correct=False) + _rows(0.01, failed=2) + _rows(1.0, 1.1)
+        result = diff_history(rows, GATES)
+        assert _metric(result)["baseline"] == 1.0
+        assert result["workloads"]["population"]["baseline_rows"] == 1
         assert result["status"] == "ok"
 
     def test_empty_history_is_no_data(self):
-        assert diff_history([])["status"] == "no-data"
+        assert diff_history([], GATES)["status"] == "no-data"
 
     def test_explicit_baseline_rows_override_in_file_history(self):
-        current = _rows(0.3)
-        baseline = _rows(0.1)
-        result = diff_history(current, threshold=0.5, baseline_rows=baseline)
+        result = diff_history(_rows(3.0), GATES, baseline_rows=_rows(1.0))
         assert result["status"] == "regression"
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
@@ -185,14 +218,18 @@ class TestDiffHistory:
         # nan/inf would pass any slowdown (x > nan is false); a negative
         # threshold would flag every metric.
         with pytest.raises(ValueError, match="threshold"):
-            diff_history(_rows(0.10, 9.0), threshold=threshold)
+            diff_history(_rows(1.0, 9.0), GATES, threshold=threshold)
 
     def test_zero_threshold_flags_any_slowdown(self):
-        assert diff_history(_rows(0.10, 0.11), threshold=0.0)["status"] == "regression"
+        assert diff_history(_rows(1.0, 1.01), GATES, threshold=0.0)["status"] == "regression"
 
     def test_format_diff_mentions_regressions(self):
-        result = diff_history(_rows(0.10, 0.20), threshold=0.5)
-        text = format_diff(result)
-        assert "REGRESSION" in text
-        assert "batch_solve" in text
-        assert "ratio=2.00x" in text
+        text = format_diff(diff_history(_rows(1.0, 2.0), GATES))
+        assert "REGRESSION in: population.latency_p95_ms" in text
+        assert "worse=+100.0% (bound 25%)" in text
+
+    def test_gates_come_from_benchmark_json(self):
+        gates = load_gates()
+        assert len(gates) == 8
+        assert gates["throughput_rps"] == ("higher", 0.25)
+        assert gates["latency_p95_ms"] == ("lower", 0.25)
