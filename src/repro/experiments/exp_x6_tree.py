@@ -15,21 +15,9 @@ from repro.dlt.tree import solve_tree
 from repro.experiments.harness import ExperimentResult, Table
 from repro.mechanism.tree_mechanism import TreeMechanism
 from repro.network.generators import random_tree_network
-from repro.network.topology import TreeNetwork, TreeNode
+from repro.network.topology import TreeNetwork
 
 __all__ = ["run_x6_tree"]
-
-
-def _true_rates(tree: TreeNetwork) -> list[float]:
-    rates: list[float] = []
-
-    def walk(node: TreeNode) -> None:
-        rates.append(float(node.w))
-        for child in node.children:
-            walk(child)
-
-    walk(tree.root)
-    return rates
 
 
 def _run(tree: TreeNetwork, rates, overrides=None):
@@ -70,7 +58,7 @@ def run_x6_tree(
         min_utility = np.inf
         for _ in range(instances):
             tree = random_tree_network(size, rng)
-            rates = _true_rates(tree)
+            rates = tree.preorder().w.tolist()
             base = _run(tree, rates)
             sched = solve_tree(tree)
             max_d_alpha = max(max_d_alpha, float(np.abs(base.assigned - sched.alpha).max()))

@@ -40,6 +40,7 @@ from repro.dlt.star import solve_star
 from repro.exceptions import InvalidNetworkError
 from repro.mechanism.protocol import ChainArm, ChainProtocol, ChainRun, ProtocolOutcome
 from repro.network.topology import StarNetwork
+from repro.obs.perf import span as perf_span
 from repro.obs.tracer import Tracer
 from repro.sim.interior_sim import InteriorChainResult, simulate_interior_chain
 
@@ -166,9 +167,10 @@ class DLSLILMechanism(ChainProtocol):
         w_bar = run.w_bar
 
         # ---------------- Phase I: per-arm bottom-up bids -----------------
-        for arm in self.arms:
-            if self._phase_1(run, arm):
-                return self._aborted(1, run)
+        with perf_span("phase_1"):
+            for arm in self.arms:
+                if self._phase_1(run, arm):
+                    return self._aborted(1, run)
 
         # ---------------- Root: the star split ----------------------------
         arm_links = {arm.side: arm.links[0] for arm in self.arms}
@@ -213,44 +215,47 @@ class DLSLILMechanism(ChainProtocol):
         # D values travel as fractions of the total load (the paper's
         # convention; the court and the audit recomputation scale by
         # total_load).
-        for arm in self.arms:
-            if self._phase_2(run, arm, arm_shares[arm.side] / self.total_load):
-                return self._aborted(2, run)
+        with perf_span("phase_2"):
+            for arm in self.arms:
+                if self._phase_2(run, arm, arm_shares[arm.side] / self.total_load):
+                    return self._aborted(2, run)
 
         assigned = run.received_share * run.alpha_hat * self.total_load
         assigned[r] = root_share
 
         # ---------------- Phase III: distribution & computation ----------
-        actual_rates = self._execution_rates(n + 1)
-        arm_retained = {
-            arm.side: np.array(self._flow(run, arm, arm_shares[arm.side], assigned))
-            for arm in self.arms
-        }
-        chain_w = np.where(actual_rates > 0, actual_rates, 1.0)
-        sim_result = simulate_interior_chain(
-            chain_w,
-            self.z,
-            r,
-            root_share,
-            arm_shares,
-            arm_retained,
-            order=order_names,
-            speeds=chain_w,
-            total_load=self.total_load,
-        )
-        computed = sim_result.computed
-        # Disjoint Λ block ranges per arm, laid out in arm order.
-        block_ends: list[int] = []
-        cursor = 0
-        for arm in self.arms:
-            cursor += int(round(arm_shares[arm.side] * run.lambda_device.blocks_per_unit))
-            block_ends.append(cursor)
-        self._phase_3_evidence(run, self.arms, block_ends, actual_rates, computed)
+        with perf_span("phase_3"):
+            actual_rates = self._execution_rates(n + 1)
+            arm_retained = {
+                arm.side: np.array(self._flow(run, arm, arm_shares[arm.side], assigned))
+                for arm in self.arms
+            }
+            chain_w = np.where(actual_rates > 0, actual_rates, 1.0)
+            sim_result = simulate_interior_chain(
+                chain_w,
+                self.z,
+                r,
+                root_share,
+                arm_shares,
+                arm_retained,
+                order=order_names,
+                speeds=chain_w,
+                total_load=self.total_load,
+            )
+            computed = sim_result.computed
+            # Disjoint Λ block ranges per arm, laid out in arm order.
+            block_ends: list[int] = []
+            cursor = 0
+            for arm in self.arms:
+                cursor += int(round(arm_shares[arm.side] * run.lambda_device.blocks_per_unit))
+                block_ends.append(cursor)
+            self._phase_3_evidence(run, self.arms, block_ends, actual_rates, computed)
 
         # ---------------- Phase IV: payments ------------------------------
         # The DLS-LBL payment structure with arm-local predecessors (the
         # head's predecessor is the root).
-        correct_q, billed_q = self._phase_4(run, self.arms, assigned, computed, actual_rates)
+        with perf_span("phase_4"):
+            correct_q, billed_q = self._phase_4(run, self.arms, assigned, computed, actual_rates)
         return self._completed(
             run, assigned, computed, actual_rates, correct_q, billed_q, sim_result.makespan,
             order=order_names, sim_result=sim_result,

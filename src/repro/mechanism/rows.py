@@ -8,7 +8,8 @@ is the one place that knows how:
 - :func:`draw_network` / :func:`agent_rates` — the network a row's
   ``default_rng(seed)`` draws first (chain, star, or a random rooted
   tree of ``m + 1`` nodes) and its strategic agents' true rates
-  (:func:`preorder_rates` for trees);
+  (in :meth:`~repro.network.topology.TreeNetwork.preorder` order for
+  trees);
 - :func:`build_mechanism` — the scalar chain, star or tree mechanism;
 - :func:`solo_row` — the one solo recipe, the reference every other
   path is bitwise-equal to;
@@ -70,7 +71,6 @@ __all__ = [
     "build_mechanism",
     "draw_network",
     "map_ordered",
-    "preorder_rates",
     "run_rows",
     "solo_row",
 ]
@@ -90,23 +90,10 @@ def draw_network(topology: str, m: int, rng: np.random.Generator):
     return generators.random_linear_network(m, rng)
 
 
-def preorder_rates(tree) -> list[float]:
-    """Per-node ``w`` in preorder (the tree mechanism's node indexing)."""
-    rates: list[float] = []
-
-    def visit(node) -> None:
-        rates.append(float(node.w))
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
-    return rates
-
-
 def agent_rates(topology: str, network) -> list[float]:
     """True rates of the strategic agents ``1 .. m`` (root excluded)."""
     if topology == "tree":
-        return preorder_rates(network)[1:]
+        return network.preorder().w[1:].tolist()
     return [float(x) for x in network.w[1:]]
 
 

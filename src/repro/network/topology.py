@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.exceptions import InvalidNetworkError
 
-__all__ = ["LinearNetwork", "BusNetwork", "StarNetwork", "TreeNetwork", "TreeNode"]
+__all__ = ["LinearNetwork", "BusNetwork", "StarNetwork", "TreeNetwork", "TreeNode", "FlatTree"]
 
 
 def _as_positive_array(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
@@ -272,21 +272,72 @@ class TreeNetwork:
             )
         return cls(root=root)
 
+    def preorder(self) -> "FlatTree":
+        """The tree's nodes flattened in preorder (the root is node 0):
+        the one node indexing the tree solver, the tree mechanism and the
+        row engine share."""
+        nodes: list[tuple[TreeNode, int]] = []  # (node, parent index)
+        children: list[list[int]] = []
+        stack = [(self.root, -1)]
+        while stack:
+            node, up = stack.pop()
+            if up >= 0:
+                children[up].append(len(nodes))
+            stack.extend((child, len(nodes)) for child in reversed(node.children))
+            nodes.append((node, up))
+            children.append([])
+        return FlatTree(
+            w=np.array([node.w for node, _ in nodes], dtype=np.float64),
+            link=np.array([np.nan if node.link is None else node.link for node, _ in nodes]),
+            parent=np.array([up for _, up in nodes], dtype=np.intp),
+            children=tuple(map(tuple, children)),
+            labels=tuple(node.label for node, _ in nodes),
+        )
+
     def to_networkx(self):
         """Render the tree as a :class:`networkx.DiGraph` rooted at node 0."""
         import networkx as nx
 
+        flat = self.preorder()
         graph = nx.DiGraph()
-        counter = [0]
-
-        def visit(node: TreeNode, parent: int | None) -> None:
-            idx = counter[0]
-            counter[0] += 1
-            graph.add_node(idx, w=node.w, label=node.label)
-            if parent is not None:
-                graph.add_edge(parent, idx, z=node.link)
-            for child in node.children:
-                visit(child, idx)
-
-        visit(self.root, None)
+        rows = zip(flat.w.tolist(), flat.labels, flat.parent.tolist(), flat.link.tolist())
+        for index, (w, label, up, z) in enumerate(rows):
+            graph.add_node(index, w=w, label=label)
+            if up >= 0:
+                graph.add_edge(up, index, z=z)
         return graph
+
+
+@dataclass(frozen=True)
+class FlatTree:
+    """A :class:`TreeNetwork` flattened in preorder (see
+    :meth:`TreeNetwork.preorder`); node 0 is the root.
+
+    Attributes
+    ----------
+    w:
+        Unit processing time per node.
+    link:
+        Unit time of the link from the node's parent (NaN at the root).
+    parent:
+        The parent's index (-1 at the root); every parent precedes its
+        children, so a reversed sweep visits descendants first.
+    children:
+        Per node, its children's indices in service-list order.
+    labels:
+        Per node, its label.
+    """
+
+    w: np.ndarray
+    link: np.ndarray
+    parent: np.ndarray
+    children: tuple[tuple[int, ...], ...]
+    labels: tuple[str | None, ...]
+
+    def __post_init__(self) -> None:
+        for arr in (self.w, self.link, self.parent):
+            arr.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        return len(self.children)

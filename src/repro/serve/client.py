@@ -2,7 +2,7 @@
 
 :func:`run_load` opens one connection, pipelines a deterministic mixed
 workload (chain and star topologies, several sizes, a slice of
-deviant-lane requests — the mix a population of independent callers
+deviant requests — the mix a population of independent callers
 would submit), and measures per-request latency from write to response
 line.  Responses arrive tagged with ``request_id`` and may complete out
 of order; the client matches them back to requests and, when asked,

@@ -63,7 +63,10 @@ RUN_KINDS = {
     ),
     "star_rows": (_star_rows, ["mech_batch_star", "rows.scalar.mechanism_star"]),
     "tree_row": (lambda: run_rows("tree", 3, 0.5, [1], [None]), ["mechanism_tree"]),
-    "dls_lil": (_lil_run, ["mechanism_lil"]),
+    "dls_lil": (
+        _lil_run,
+        ["mechanism_lil"] + [f"mechanism_lil.phase_{k}" for k in range(1, 5)],
+    ),
     "resilient_runtime": (
         lambda: run_resilient([1.0, 2.0, 3.0], [0.1, 0.2]),
         ["runtime", "runtime.epoch"],

@@ -86,14 +86,12 @@ class TestHonestRun:
         # of the (parent, subtree) pair.
         from repro.mechanism.payments import bonus
 
-        from repro.mechanism.tree_mechanism import _flatten
-
-        infos = _flatten(tree)
+        flat = tree.preorder()
         for i in range(1, tree.size):
-            parent = infos[i].parent
+            parent = flat.parent[i]
             expected = bonus(
                 predecessor_bid=RATES[parent],
-                z_link=infos[i].link,
+                z_link=flat.link[i],
                 w_bar=baseline.w_bar[i],
                 w_hat=baseline.w_bar[i],
             )

@@ -13,7 +13,7 @@ run directly on an event loop):
   (batch 1, zero wait, batch larger than the workload);
 - shape mixing: chain and star, several sizes, interleaved in one
   burst so flushes span multiple batch keys;
-- deviant lanes: all eight catalogued kinds, array-expressible and
+- deviant rows: all eight catalogued kinds, array-expressible and
   grievance-triggering alike, mixed with truthful rows;
 - out-of-order completion: futures awaited in an adversarial order
   must still resolve to their own request's summary;

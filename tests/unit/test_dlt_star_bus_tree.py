@@ -12,7 +12,8 @@ from repro.dlt.star import (
     star_finishing_times,
     star_makespan_for_order,
 )
-from repro.dlt.tree import solve_tree, tree_equivalent_time
+import repro.dlt.tree
+from repro.dlt.tree import collapse, finish_times, solve_tree, tree_equivalent_time
 from repro.exceptions import SolverError
 from repro.network.generators import random_star_network, random_tree_network
 from repro.network.topology import BusNetwork, LinearNetwork, StarNetwork, TreeNetwork
@@ -147,3 +148,31 @@ class TestTree:
             )
         )
         assert solve_tree(extended).makespan < solve_tree(base).makespan
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_finish(self, seed):
+        # The tree analogue of Theorem 2.1: at the optimum every node
+        # finishes at the makespan.  finish_times clocks the one-port
+        # transfers directly, independent of the collapse's algebra.
+        rng = np.random.default_rng(seed)
+        for size in range(2, 16):
+            network = random_tree_network(size, rng)
+            tree = network.preorder()
+            sched = solve_tree(network)
+            _, stars = collapse(tree, tree.w)
+            t = finish_times(tree, sched.alpha, stars, tree.w)
+            np.testing.assert_allclose(t, sched.makespan, rtol=1e-12, atol=0.0)
+
+    def test_one_star_solve_per_internal_node(self, monkeypatch):
+        from repro.agents.strategies import TruthfulAgent
+        from repro.mechanism.tree_mechanism import TreeMechanism
+
+        calls = []
+        real = repro.dlt.tree.solve_star
+        monkeypatch.setattr(repro.dlt.tree, "solve_star", lambda net: calls.append(net) or real(net))
+        network = random_tree_network(12, np.random.default_rng(3))
+        tree = network.preorder()
+        internal = sum(1 for children in tree.children if children)
+        agents = [TruthfulAgent(i, float(tree.w[i])) for i in range(1, tree.size)]
+        TreeMechanism(network, agents).run()
+        assert internal > 1 and len(calls) == internal
