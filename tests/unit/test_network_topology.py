@@ -140,6 +140,23 @@ class TestTreeNetwork:
         assert tree.size == 4
         assert root.depth() == 2
 
+    def test_preorder_flattens_parents_first(self):
+        root = TreeNode(w=1.0, label="r", children=[
+            TreeNode(w=2.0, link=0.1, label="a", children=[TreeNode(w=3.0, link=0.2, label="a1")]),
+            TreeNode(w=4.0, link=0.3, label="b"),
+        ])
+        tree = TreeNetwork(root=root)
+        flat = tree.preorder()
+        assert flat.size == 4 and flat.w.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert np.isnan(flat.link[0]) and flat.link[1:].tolist() == [0.1, 0.2, 0.3]
+        assert flat.parent.tolist() == [-1, 0, 1, 0]
+        assert flat.children == ((1, 3), (2,), (), ())
+        assert flat.labels == ("r", "a", "a1", "b")
+        assert not flat.w.flags.writeable
+        graph = tree.to_networkx()
+        assert graph.nodes[2] == {"w": 3.0, "label": "a1"}
+        assert graph.edges[1, 2] == {"z": 0.2}
+
     def test_from_linear_preserves_rates(self):
         net = LinearNetwork(w=[1.0, 2.0, 3.0], z=[0.1, 0.2])
         tree = TreeNetwork.from_linear(net)
