@@ -68,6 +68,7 @@ from repro.protocol.grievance import (
     Adjudication,
     GrievanceCourt,
     apply_adjudication,
+    levy,
     provable_overload,
 )
 from repro.protocol.lambda_device import LambdaDevice, LoadCertificate
@@ -289,17 +290,6 @@ class ScalarMechanism:
         else:
             books.ledger.fine(proc, -bill, "phase IV bill (negative payment)")
 
-    def _levy(
-        self, books: RunBooks, proc: int, amount: float, memo: str, *, source: str, reason: str
-    ) -> None:
-        """Fine ``proc`` outside the grievance court: the ledger entry,
-        the ``mechanism.fines`` counters and a ``fine`` trace event."""
-        books.ledger.fine(proc, amount, memo)
-        books.metrics.inc("mechanism.fines")
-        books.metrics.inc("mechanism.fine_volume", amount)
-        if self.tracer is not None:
-            self.tracer.event("fine", proc=proc, amount=amount, source=source, reason=reason)
-
     def _record_audit(self, books: RunBooks, record: AuditRecord) -> None:
         """Keep one Phase IV audit: the ``mechanism.audits*`` counters,
         the ``audit`` trace event and, for an invalid bill, the ``F/q``
@@ -320,13 +310,15 @@ class ScalarMechanism:
                 reason=record.reason,
             )
         if record.fine > 0:
-            self._levy(
-                books,
+            levy(
+                books.ledger,
+                books.metrics,
                 record.proc,
                 record.fine,
                 f"audit penalty (P{record.proc})",
                 source="audit",
                 reason=record.reason,
+                tracer=self.tracer,
             )
 
     # -- outcomes -------------------------------------------------------

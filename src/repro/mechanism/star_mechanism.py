@@ -45,6 +45,7 @@ from repro.mechanism.audit import Auditor
 from repro.mechanism.protocol import ProtocolOutcome, RunBooks, ScalarMechanism
 from repro.network.topology import BusNetwork, StarNetwork
 from repro.obs.tracer import Tracer
+from repro.protocol.grievance import levy
 from repro.protocol.messages import bid_payload
 from repro.protocol.meter import TamperProofMeter
 
@@ -187,9 +188,9 @@ class StarMechanism(ScalarMechanism):
             sign(self._keys[i], bid_payload(i, bid))
             second = self.agents[i].phase1_second_bid(bid)
             if second is not None and second != bid:
-                self._levy(
-                    books, i, self.fine, "contradictory bids (root-detected)",
-                    source="root", reason="contradictory bids",
+                levy(
+                    books.ledger, books.metrics, i, self.fine, "contradictory bids (root-detected)",
+                    source="root", reason="contradictory bids", tracer=self.tracer,
                 )
                 return self._aborted(None, books)
 
@@ -211,9 +212,10 @@ class StarMechanism(ScalarMechanism):
             meter.record(i, float(actual_rates[i]), float(computed[i]))
         for i in range(1, n + 1):
             if computed[i] < assigned[i] - _WORK_TOL:
-                self._levy(
-                    books, i, self.fine, "abandoned assigned work (meter-detected)",
-                    source="meter", reason="abandoned assigned work",
+                levy(
+                    books.ledger, books.metrics, i, self.fine,
+                    "abandoned assigned work (meter-detected)",
+                    source="meter", reason="abandoned assigned work", tracer=self.tracer,
                 )
 
         # Phase IV: payments.

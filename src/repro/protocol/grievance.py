@@ -28,6 +28,7 @@ from repro.protocol.verification import verify_g_message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mechanism.ledger import PaymentLedger
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "adjudicate_liveness",
     "apply_adjudication",
     "certifies_overload",
+    "levy",
     "provable_overload",
 ]
 
@@ -128,21 +130,29 @@ def apply_adjudication(
             reward_amount=verdict.reward_amount,
             reason=verdict.reason,
         )
-    ledger.fine(verdict.fined, verdict.fine_amount, f"grievance fine ({verdict.grievance.kind.value})")
+    kind = verdict.grievance.kind.value
     if verdict.fine_amount > 0:
-        registry.inc("mechanism.fines")
-        registry.inc("mechanism.fine_volume", verdict.fine_amount)
-        if tracer is not None:
-            tracer.event(
-                "fine",
-                proc=verdict.fined,
-                amount=verdict.fine_amount,
-                source="grievance",
-                reason=verdict.grievance.kind.value,
-            )
+        levy(ledger, registry, verdict.fined, verdict.fine_amount, f"grievance fine ({kind})",
+             source="grievance", reason=kind, tracer=tracer)
+    else:
+        ledger.fine(verdict.fined, verdict.fine_amount, f"grievance fine ({kind})")
     if verdict.rewarded != root:
-        ledger.pay(verdict.rewarded, verdict.reward_amount, f"grievance reward ({verdict.grievance.kind.value})")
+        ledger.pay(verdict.rewarded, verdict.reward_amount, f"grievance reward ({kind})")
     return verdict
+
+
+def levy(
+    ledger: "PaymentLedger", metrics: "MetricsRegistry", proc: int, amount: float, memo: str,
+    *, source: str, reason: str, tracer: "Tracer | None" = None,
+) -> None:
+    """Fine ``proc``: the ledger entry, the ``mechanism.fines`` counters
+    and a ``fine`` trace event — for grievance verdicts, audit penalties,
+    the star root's own detections and the runtime's meter audit."""
+    ledger.fine(proc, amount, memo)
+    metrics.inc("mechanism.fines")
+    metrics.inc("mechanism.fine_volume", amount)
+    if tracer is not None:
+        tracer.event("fine", proc=proc, amount=amount, source=source, reason=reason)
 
 
 def adjudicate_liveness(

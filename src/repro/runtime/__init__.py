@@ -12,12 +12,8 @@ and a checkpoint journal for the experiment runner
 
 from repro.runtime.checkpoint import CheckpointJournal, task_key
 from repro.runtime.retry import RetryExhausted, RetryPolicy, backoff_schedule, retry_async
-from repro.runtime.session import (
-    BYZANTINE_KINDS,
-    INFRASTRUCTURE_KINDS,
-    ResilientOutcome,
-    run_resilient,
-)
+from repro.runtime import session
+from repro.runtime.session import ResilientOutcome, run_resilient
 from repro.runtime.transport import (
     Delivery,
     LossyTransport,
@@ -43,3 +39,10 @@ __all__ = [
     "run_resilient",
     "task_key",
 ]
+
+
+def __getattr__(name: str):
+    # The kind tuples come from the fault catalog, read on first use.
+    if name in ("BYZANTINE_KINDS", "INFRASTRUCTURE_KINDS"):
+        return getattr(session, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
