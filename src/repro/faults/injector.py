@@ -27,7 +27,7 @@ from repro.agents.strategies import TruthfulAgent
 from repro.faults.spec import FaultSpec, ScenarioSpec
 from repro.protocol.messages import GrievanceKind, PaymentProof
 
-__all__ = ["FaultyAgent", "activate_faults", "build_agents", "fault_records"]
+__all__ = ["FaultyAgent", "activate_faults", "build_agents", "fault_records", "faulty_population"]
 
 
 class FaultyAgent(ProcessorAgent):
@@ -240,12 +240,21 @@ def build_agents(
     position per fault, regardless of outcome).  Returns ``(agents,
     active)`` where ``active`` records each injected fault in spec order.
     """
+    chosen = activate_faults(scenario, rng, len(true_rates))
+    return faulty_population(chosen, true_rates, link_rates), fault_records(chosen)
+
+
+def faulty_population(
+    chosen: Sequence[tuple[FaultSpec, int]],
+    true_rates: Sequence[float],
+    link_rates: np.ndarray,
+) -> list[ProcessorAgent]:
+    """Agents ``1 .. m``: a :class:`FaultyAgent` carrying its activated
+    faults at each target of ``chosen``, a truthful agent elsewhere."""
     m = len(true_rates)
-    chosen = activate_faults(scenario, rng, m)
     per_target: dict[int, list[FaultSpec]] = {}
     for spec, target in chosen:
         per_target.setdefault(target, []).append(spec)
-    active = fault_records(chosen)
     agents: list[ProcessorAgent] = []
     for i in range(1, m + 1):
         t = float(true_rates[i - 1])
@@ -255,4 +264,4 @@ def build_agents(
             agents.append(FaultyAgent(i, t, faults, z_next=z_next))
         else:
             agents.append(TruthfulAgent(i, t))
-    return agents, active
+    return agents
