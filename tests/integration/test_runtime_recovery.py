@@ -119,6 +119,27 @@ class TestRetryAndExclusion:
         # Two drops exhaust a two-attempt budget: excluded, not retried in.
         assert outcome.unresponsive == (2,)
 
+    @pytest.mark.parametrize("kind", ["net_drop", "byz_suppress"])
+    def test_give_up_is_not_a_retry(self, kind):
+        # P2's every attempt is lost (byz_suppress on P1 swallows P2's
+        # sends): the last timeout is the give-up, not a retransmission,
+        # so the counter, the histogram and the trace agree with the
+        # outcome's count.
+        target = 2 if kind == "net_drop" else 1
+        faults = [{"kind": kind, "target": target, "param": 50}]
+        tracer = Tracer()
+        with collecting(merge=False) as registry:
+            outcome = run_resilient(
+                [1.0, 1.2, 0.9, 1.1, 1.3], [0.1, 0.2, 0.15, 0.1], faults, seed=0, tracer=tracer
+            )
+            snapshot = registry.snapshot()
+        attempts = RetryPolicy().max_attempts
+        assert outcome.unresponsive == (2,)
+        assert outcome.retries == attempts - 1
+        assert snapshot["counters"]["runtime.retries"] == outcome.retries
+        assert snapshot["histograms"]["runtime.retry_wait_sim"]["count"] == outcome.retries
+        assert sum(e.kind == "retry" for e in tracer.events) == outcome.retries
+
 
 class TestCorruptRejection:
     def test_corrupt_delivery_rejected_with_grievance(self):
