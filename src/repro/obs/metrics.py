@@ -38,9 +38,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Iterator, Mapping
 
+import numpy as np
+
 __all__ = [
+    "CounterColumns",
     "LatencyHistogram",
     "MetricsRegistry",
     "bucket_index",
@@ -318,23 +323,76 @@ def merge_snapshots(snaps: Iterator[Mapping[str, Any]] | list[Mapping[str, Any]]
     return acc.snapshot()
 
 
+@dataclass(frozen=True)
+class CounterColumns:
+    """The counter deltas of ``n`` rows as ``k`` named columns.
+
+    ``names`` are the counters in their builder's fixed key order;
+    ``values`` is an ``(n, k)`` float64 matrix holding row ``r``'s delta
+    of counter ``names[j]`` at ``[r, j]`` and ``0.0`` where the row has no
+    such key; ``present`` is the ``(n, k)`` bool mask of the keys each
+    row has.  A stacked engine builds one block per call where a solo
+    loop would build ``n`` snapshot dicts; :func:`fold_snapshots` folds
+    it as columns, and :meth:`snapshots` (also iteration) gives the
+    per-row dicts for callers that need them.
+    """
+
+    names: tuple[str, ...]
+    values: np.ndarray
+    present: np.ndarray
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return iter(self.snapshots())
+
+    def snapshots(self) -> list[dict[str, Any]]:
+        """One counters-only snapshot per row, keys in ``names`` order."""
+        names = self.names
+        return [
+            {"counters": dict(compress(zip(names, row), has))}
+            for row, has in zip(self.values.tolist(), self.present.tolist())
+        ]
+
+
+def _fold_columns(block: CounterColumns, *targets: dict[str, float]) -> None:
+    """Fold ``block``'s rows, in row order, into each counter map.
+
+    A column folds as one ``np.add.accumulate`` over ``[start, d_1 …
+    d_n]``: a strictly sequential left fold, so it makes the float
+    additions of merging the rows' dicts one by one (``np.sum`` would
+    sum pairwise and round differently).  An absent row adds ``0.0``,
+    exact for these non-negative counters; a column no row has stays
+    absent.  New keys enter in the order the dict loop would first meet
+    them: by first present row, then by column.
+    """
+    has = block.present.any(axis=0)
+    if not has.any():
+        return
+    first = block.present.argmax(axis=0).tolist()
+    order = sorted(np.flatnonzero(has).tolist(), key=first.__getitem__)
+    names = [block.names[j] for j in order]
+    deltas = block.values[:, order]
+    for target in targets:
+        start = np.array([[target.get(name, 0.0) for name in names]])
+        folded = np.add.accumulate(np.concatenate((start, deltas)), axis=0)[-1]
+        target.update(zip(names, folded.tolist()))
+
+
 def fold_snapshots(
-    snaps: Iterator[Mapping[str, Any]] | list[Mapping[str, Any]], into: MetricsRegistry
+    snaps: Iterator[Mapping[str, Any] | CounterColumns] | list[Mapping[str, Any] | CounterColumns],
+    into: MetricsRegistry,
 ) -> dict[str, Any]:
     """Merge ``snaps`` into ``into`` in order; return their own fold
     (what :func:`merge_snapshots` returns), built in the same pass.
 
-    Counters-only snapshots (a stacked engine's per-row deltas) take a
-    direct left fold into both counter maps — the same float additions
-    :meth:`MetricsRegistry.merge` makes, without its per-call overhead.
+    A :class:`CounterColumns` item (a stacked engine's rows) folds
+    column by column, making the float additions of one
+    :meth:`MetricsRegistry.merge` per row without a dict per row; any
+    other item is one snapshot, merged.
     """
     acc = MetricsRegistry()
-    live, own = into._counters, acc._counters
     for snap in snaps:
-        if snap.keys() == {"counters"}:
-            for name, value in snap["counters"].items():
-                live[name] = live.get(name, 0.0) + value
-                own[name] = own.get(name, 0.0) + value
+        if isinstance(snap, CounterColumns):
+            _fold_columns(snap, into._counters, acc._counters)
         else:
             into.merge(snap)
             acc.merge(snap)

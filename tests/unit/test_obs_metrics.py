@@ -3,9 +3,11 @@ crypto-counter compatibility shim that now rides on it."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import (
+    CounterColumns,
     MetricsRegistry,
     collecting,
     fold_snapshots,
@@ -101,11 +103,16 @@ class TestMergeAssociativity:
         assert snap["histograms"] == {}
 
 
+def _hexed(counters):
+    """Counter keys in order, values as ``float.hex``."""
+    return [(name, value.hex()) for name, value in counters.items()]
+
+
 class TestFoldSnapshots:
     def test_fold_equals_per_snapshot_merges(self):
-        """Counters-only rows take the direct fold; mixed rows the full
-        merge.  Both targets match one ``merge`` call per snapshot, from
-        a non-zero starting registry (float fold order included)."""
+        """Counters-only and mixed snapshots: both targets match one
+        ``merge`` call per snapshot, from a non-zero starting registry
+        (float fold order included)."""
         rows = [
             {"counters": {"c": 0.1, "n": 1.0}},
             TestMergeAssociativity.A,
@@ -123,6 +130,48 @@ class TestFoldSnapshots:
         own = fold_snapshots(rows, live)
         assert live.snapshot() == reference.snapshot()
         assert own == merge_snapshots(rows)
+
+    def test_column_block_folds_as_its_row_dicts(self):
+        """A :class:`CounterColumns` block among dict and histogram
+        snapshots folds as one merge per row dict, from a non-empty
+        start: same keys in the same order, same floats bitwise, an
+        absent cell adding nothing and a column no row has staying
+        absent from both maps."""
+        block = CounterColumns(
+            names=("c", "late", "never", "v"),
+            values=np.array([[0.1, 0.0, 0.0, 0.3], [0.0, 2.0, 0.0, 0.7], [0.2, 1.0, 0.0, 0.1]]),
+            present=np.array(
+                [[True, False, False, True], [False, True, False, True], [True, True, False, True]]
+            ),
+        )
+        assert [snap["counters"] for snap in block] == [
+            {"c": 0.1, "v": 0.3},
+            {"late": 2.0, "v": 0.7},
+            {"c": 0.2, "late": 1.0, "v": 0.1},
+        ]
+        items = [
+            {"counters": {"c": 0.3, "n": 1.0}},
+            block,
+            TestMergeAssociativity.B,
+            {"counters": {"v": 0.2, "new": 3.0}},
+        ]
+        start = {"counters": {"v": 0.7, "c": 1.1}, "histograms": {}}
+        reference = MetricsRegistry()
+        reference.merge(start)
+        own_reference = MetricsRegistry()
+        for item in items:
+            for snap in block.snapshots() if item is block else [item]:
+                reference.merge(snap)
+                own_reference.merge(snap)
+        live = MetricsRegistry()
+        live.merge(start)
+        own = fold_snapshots(items, live)
+        assert _hexed(live.snapshot()["counters"]) == _hexed(reference.snapshot()["counters"])
+        assert _hexed(own["counters"]) == _hexed(own_reference.snapshot()["counters"])
+        assert live.snapshot() == reference.snapshot()
+        assert own == own_reference.snapshot()
+        assert "never" not in live.snapshot()["counters"] and "never" not in own["counters"]
+        assert all(type(v) is float for v in own["counters"].values())
 
 
 class TestCollecting:
